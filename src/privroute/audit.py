@@ -17,7 +17,7 @@ import numpy as np
 
 from . import demand as demand_mod
 from .baseline import detect_od_presence, standard_feasible_flow
-from .dp_sgd import STEP_PROJECTION_TOL, private_sgd, sensitivity_bound
+from .dp_sgd import STEP_PROJECTION_TOL, descend, sensitivity_bound
 from .flow_polytope import FlowProjector, initial_shortest_path_policy
 from .objective import compute_constants
 
@@ -101,7 +101,6 @@ def audit_sensitivity(config, trials):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     network = config.network
-    n = network.node_count
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.seed, 0xA0D17))))
     projector = FlowProjector(network)
     x0 = initial_shortest_path_policy(network)
@@ -125,31 +124,15 @@ def audit_sensitivity(config, trials):
         )
         bound = sensitivity_bound(constants, config.n_days)
         bound_used = bound
-        run_a = private_sgd(
-            dataset,
-            network,
-            config.latency,
-            constants,
-            privacy=None,
-            x0=x0,
-            seed=0,
-            projector=projector,
-            step_tol=config.step_tol,
-            noise_scale=0.0,
+        x_a, _, _ = descend(
+            dataset, network, config.latency, constants, x0,
+            projector=projector, step_tol=config.step_tol,
         )
-        run_b = private_sgd(
-            adjacent,
-            network,
-            config.latency,
-            constants,
-            privacy=None,
-            x0=x0,
-            seed=0,
-            projector=projector,
-            step_tol=config.step_tol,
-            noise_scale=0.0,
+        x_b, _, _ = descend(
+            adjacent, network, config.latency, constants, x0,
+            projector=projector, step_tol=config.step_tol,
         )
-        distance = float(np.linalg.norm(run_a.x_pre - run_b.x_pre))
+        distance = float(np.linalg.norm(x_a - x_b))
         rows.append(
             SensitivityTrial(
                 trial=trial,

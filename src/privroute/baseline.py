@@ -17,10 +17,10 @@ from .flow_polytope import (
     reachability,
     shortest_path_flow,
 )
-from .objective import regularized_cost
+from .objective import edge_costs_and_gradient, regularized_cost
 
 
-def _linear_minimizer(gradient_blocks, edge_term, network, alpha, routable):
+def _linear_minimizer(gradient_blocks, edge_costs, network, alpha, routable):
     """Vertex of the policy set minimizing the linearized objective.
 
     With alpha = 0 every block's cost vector is a nonnegative multiple of the
@@ -30,7 +30,7 @@ def _linear_minimizer(gradient_blocks, edge_term, network, alpha, routable):
     """
     n = network.node_count
     if alpha == 0.0:
-        return initial_shortest_path_policy(network, edge_term)
+        return initial_shortest_path_policy(network, edge_costs)
     S = np.zeros_like(gradient_blocks)
     for o, d in routable:
         block = pair_index(o, d, n)
@@ -52,10 +52,10 @@ def frank_wolfe_solve(demand, network, latency, alpha=0.0, gap_tol=1e-6, max_ite
     if gap_tol <= 0:
         raise ValueError("gap_tol must be positive")
     demand = np.asarray(demand, dtype=float)
-    n, m = network.node_count, network.edge_count
+    n = network.node_count
     demand_vec = demand.reshape(n * n)
     positive = np.nonzero(demand_vec)[0]
-    slope, free_flow = latency.slope, latency.free_flow
+    slope = latency.slope
 
     X = initial_shortest_path_policy(network)
     for block in positive:
@@ -67,10 +67,8 @@ def frank_wolfe_solve(demand, network, latency, alpha=0.0, gap_tol=1e-6, max_ite
 
     trace = []
     for j in range(max_iters):
-        y = demand_vec @ X
-        edge_term = 2.0 * slope * y + free_flow
-        G = np.outer(demand_vec, edge_term) + alpha * X
-        S = _linear_minimizer(G, edge_term, network, alpha, routable)
+        edge_costs, G = edge_costs_and_gradient(X, demand, latency, alpha)
+        S = _linear_minimizer(G, edge_costs, network, alpha, routable)
         D = S - X
         gap = float(-np.sum(G * D))
         cost = regularized_cost(X, demand, latency, alpha)

@@ -20,7 +20,6 @@ from .flow_polytope import (
     ProjectionConvergenceError,
     decompose_flow,
     initial_shortest_path_policy,
-    pair_of_index,
 )
 from .harness import (
     ExperimentConfig,
@@ -71,6 +70,7 @@ def _cmd_solve_private(args):
         step_tol=config.step_tol,
         final_tol=config.final_tol,
         trace_demand=demand_mod.average_demand(dataset),
+        noise_scale=config.noise_scale_override,
     )
     policy_to_csv(solution.x_alg, instance.network, out_dir / "policy.csv")
     write_csv(
@@ -196,7 +196,7 @@ def _cmd_decompose(args):
     n = instance.network.node_count
     distributions = []
     for block in range(n * n):
-        o, d = pair_of_index(block, n)
+        o, d = divmod(block, n)
         if o == d or not np.any(policy[block]):
             continue
         distributions.append(decompose_flow(policy[block], (o, d), instance.network))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow_polytope import FlowProjector
-from .objective import regularized_cost, travel_time_cost
+from .objective import gradient, regularized_cost, travel_time_cost
 
 STEP_PROJECTION_TOL = 1e-6
 FINAL_PROJECTION_TOL = 1e-8
@@ -109,16 +109,19 @@ def _check_feasible_start(x0, projector, tol=1e-6):
     X = np.asarray(x0, dtype=float).reshape(n * n, m)
     if np.any(X < -1e-9) or np.any(X > 1 + 1e-9):
         raise ValueError("x0 violates the per-edge [0, 1] bounds")
-    A = network.incidence_matrix()
-    net_inflow = X @ A.T  # (n^2, n) net inflow per block
-    for o in range(n):
-        for d in range(n):
-            expected = np.zeros(n)
-            if o != d and projector.reachable(o, d):
-                expected[o] = -1.0
-                expected[d] = 1.0
-            if np.max(np.abs(net_inflow[o * n + d] - expected)) > tol:
-                raise ValueError(f"x0 block ({o + 1}, {d + 1}) is not a unit flow")
+    # expected net inflow per block: -1 at o and +1 at d for routable pairs
+    routable = np.array(
+        [o != d and projector.reachable(o, d) for o in range(n) for d in range(n)], dtype=float
+    )
+    blocks = np.arange(n * n)
+    expected = np.zeros((n * n, n))
+    expected[blocks, blocks // n] = -routable
+    expected[blocks, blocks % n] += routable
+    error = np.max(np.abs(X @ network.incidence_matrix().T - expected), axis=1)
+    bad = np.flatnonzero(error > tol)
+    if bad.size:
+        o, d = divmod(int(bad[0]), n)
+        raise ValueError(f"x0 block ({o + 1}, {d + 1}) is not a unit flow")
     return X
 
 
@@ -141,9 +144,7 @@ def descend(
     if projector is None:
         projector = FlowProjector(network)
     X = _check_feasible_start(x0, projector)
-    n, m = network.node_count, network.edge_count
     alpha, beta = constants.alpha, constants.beta
-    slope, free_flow = latency.slope, latency.free_flow
 
     def record(X_now, lam):
         where = lam if trace_demand is None else trace_demand
@@ -156,11 +157,8 @@ def descend(
     record(X, first_day)
     for k in range(1, dataset.day_count + 1):
         lam = first_day if k == 1 else dataset.day(k)
-        lam_vec = np.asarray(lam, dtype=float).reshape(n * n)
-        y = lam_vec @ X
-        grad = np.outer(lam_vec, 2.0 * slope * y + free_flow) + alpha * X
         eta = step_size(k, alpha, beta)
-        X = projector.project_policy(X - eta * grad, tol=step_tol)
+        X = projector.project_policy(X - eta * gradient(X, lam, latency, alpha), tol=step_tol)
         record(X, lam)
     return X, tuple(cost_trace), tuple(travel_trace)
 
@@ -198,7 +196,7 @@ def private_sgd(
         constants: ModelConstants consistent with the network, latency and
             the dataset's rate bound.
         privacy: target (epsilon, delta); may be None when noise_scale is
-            forced (e.g. sensitivity audits run with noise_scale=0).
+            given.
         x0: feasible starting policy.
         seed: seed of the Gaussian output perturbation.
         trace_demand: optional fixed matrix at which iterate costs are

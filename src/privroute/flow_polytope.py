@@ -45,14 +45,6 @@ def pair_index(o, d, n):
     return o * n + d
 
 
-def pair_of_index(i, n):
-    return divmod(i, n)
-
-
-def policy_shape(network):
-    return (network.node_count ** 2, network.edge_count)
-
-
 def conservation_rhs(od, node_count):
     """Right-hand side of the unit-flow conservation equations (net inflow)."""
     o, d = od
@@ -282,7 +274,7 @@ def initial_shortest_path_policy(network, edge_costs=None):
     if edge_costs is None:
         edge_costs = network.free_flow_time
     n = network.node_count
-    policy = np.zeros(policy_shape(network))
+    policy = np.zeros((n * n, network.edge_count))
     for o in range(n):
         dist, _, sequences = shortest_path_tree(o, edge_costs, network)
         for d in range(n):

@@ -34,20 +34,9 @@ from .dp_sgd import (
     gaussian_noise_scale,
     perturb_and_project,
 )
-from .flow_polytope import (
-    FlowProjector,
-    initial_shortest_path_policy,
-    pair_index,
-    pair_of_index,
-)
+from .flow_polytope import FlowProjector, initial_shortest_path_policy, pair_index
 from .net_model import affine_latency_from, parse_tntp_network, parse_tntp_trips
-from .objective import (
-    compute_constants,
-    empirical_cost,
-    experimental_constants,
-    regularized_cost,
-    travel_time_cost,
-)
+from .objective import compute_constants, experimental_constants, travel_time_cost
 
 BUILTIN_NET = "builtin:sioux_falls_net"
 BUILTIN_TRIPS = "builtin:sioux_falls_trips"
@@ -83,7 +72,6 @@ class ExperimentConfig:
     max_fw_iters: int = 30000
     step_tol: float = STEP_PROJECTION_TOL
     final_tol: float = FINAL_PROJECTION_TOL
-    exact_empirical_eval: bool = False
     noise_scale_override: float | None = None  # None = calibrated sigma; 0 disables noise
 
     def __post_init__(self):
@@ -210,7 +198,7 @@ def policy_to_csv(policy, network, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["origin", "destination", "edge_tail", "edge_head", "value"])
         for block in range(n * n):
-            o, d = pair_of_index(block, n)
+            o, d = divmod(block, n)
             for e in np.nonzero(policy[block])[0]:
                 writer.writerow(
                     [
@@ -248,63 +236,14 @@ def paths_to_csv(distributions, network, path):
                 writer.writerow([o + 1, d + 1, "-".join(map(str, nodes)), "%.17g" % weight])
 
 
-def _iterate_costs(iterates, dataset, latency, alpha, exact):
-    """Cost of each stored iterate: at the dataset average by default, or the
-    full empirical average when exact evaluation is requested."""
-    avg = demand_mod.average_demand(dataset)
-    reg, raw = [], []
-    for X in iterates:
-        if exact:
-            reg.append(empirical_cost(X, dataset, latency, alpha))
-            raw.append(
-                float(
-                    np.mean(
-                        [travel_time_cost(X, dataset.matrices[t], latency) for t in range(dataset.day_count)]
-                    )
-                )
-            )
-        else:
-            reg.append(regularized_cost(X, avg, latency, alpha))
-            raw.append(travel_time_cost(X, avg, latency))
-    return reg, raw
-
-
-def _descend_with_iterates(dataset, instance, constants, x0, projector, step_tol):
-    """Run the solver's deterministic part while keeping every iterate."""
-    iterates = [np.asarray(x0, dtype=float).copy()]
-
-    class _Recorder:
-        def __init__(self, inner):
-            self.inner = inner
-            self.network = inner.network
-
-        def reachable(self, o, d):
-            return self.inner.reachable(o, d)
-
-        def project_policy(self, x, tol):
-            out = self.inner.project_policy(x, tol=tol)
-            iterates.append(out)
-            return out
-
-    x_pre, cost_trace, travel_trace = descend(
-        dataset,
-        instance.network,
-        instance.latency,
-        constants,
-        x0,
-        projector=_Recorder(projector),
-        step_tol=step_tol,
-    )
-    return x_pre, iterates
-
-
 def run_convergence(config, out_dir):
     """Cost-ratio traces against the non-private baseline for each N.
 
     Emits convergence.csv with columns (N, iteration, cost_ratio) where the
     numerator is the iterate's travel time, plus convergence_regularized.csv
-    with the regularized-numerator variant. Both are normalized by the
-    unregularized baseline cost at the dataset average demand.
+    with the regularized-numerator variant. Every iterate is evaluated at the
+    dataset's average demand, and both are normalized by the unregularized
+    baseline cost there.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,16 +257,19 @@ def run_convergence(config, out_dir):
             instance.mean_demand, n_days, config.period_minutes, seed=config.dataset_seed
         )
         constants = resolve_constants(config, instance, dataset)
+        avg = demand_mod.average_demand(dataset)
         x_base, _ = solve_baseline(config, instance, dataset)
-        base_cost = travel_time_cost(
-            x_base, demand_mod.average_demand(dataset), instance.latency
-        )
+        base_cost = travel_time_cost(x_base, avg, instance.latency)
         baseline_costs[n_days] = base_cost
-        x_pre, iterates = _descend_with_iterates(
-            dataset, instance, constants, x0, projector, config.step_tol
-        )
-        reg, raw = _iterate_costs(
-            iterates, dataset, instance.latency, constants.alpha, config.exact_empirical_eval
+        _, reg, raw = descend(
+            dataset,
+            instance.network,
+            instance.latency,
+            constants,
+            x0,
+            projector=projector,
+            step_tol=config.step_tol,
+            trace_demand=avg,
         )
         for k, (r, rr) in enumerate(zip(raw, reg)):
             rows.append((n_days, k, r / base_cost))
@@ -400,27 +342,34 @@ def run_privacy_cost(config, out_dir):
     return out_dir / "privacy_cost.csv"
 
 
-def _sweep_trace(config, instance, alpha, out_rows, parameter):
+def _sweep_rows(config, instance, projector, x0, alphas):
+    """Cost-ratio rows (parameter, iteration, ratio) of one scenario.
+
+    alphas pairs each reported parameter with the regularizer its descent
+    uses. The dataset and the unregularized baseline do not depend on alpha,
+    so they are built once per scenario.
+    """
     dataset = demand_mod.sample_dataset(
         instance.mean_demand, config.n_days, config.period_minutes, seed=config.dataset_seed
     )
-    constants = resolve_constants(config, instance, dataset, alpha=alpha)
+    avg = demand_mod.average_demand(dataset)
     x_base, _ = solve_baseline(config, instance, dataset)
-    base_cost = travel_time_cost(x_base, demand_mod.average_demand(dataset), instance.latency)
-    projector = FlowProjector(instance.network)
-    x0 = initial_shortest_path_policy(instance.network)
-    _, _, travel_trace = descend(
-        dataset,
-        instance.network,
-        instance.latency,
-        constants,
-        x0,
-        projector=projector,
-        step_tol=config.step_tol,
-        trace_demand=demand_mod.average_demand(dataset),
-    )
-    for k, cost in enumerate(travel_trace):
-        out_rows.append((parameter, k, cost / base_cost))
+    base_cost = travel_time_cost(x_base, avg, instance.latency)
+    rows = []
+    for parameter, alpha in alphas:
+        constants = resolve_constants(config, instance, dataset, alpha=alpha)
+        _, _, travel_trace = descend(
+            dataset,
+            instance.network,
+            instance.latency,
+            constants,
+            x0,
+            projector=projector,
+            step_tol=config.step_tol,
+            trace_demand=avg,
+        )
+        rows.extend((parameter, k, cost / base_cost) for k, cost in enumerate(travel_trace))
+    return rows
 
 
 def run_sensitivity_sweep(config, out_dir):
@@ -429,16 +378,21 @@ def run_sensitivity_sweep(config, out_dir):
     constants are recomputed for every scenario."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    alpha_rows, factor_rows, scale_rows = [], [], []
     instance = load_instance(config)
-    for alpha in config.alpha_grid:
-        _sweep_trace(config, instance, alpha, alpha_rows, alpha)
+    # every scenario shares the topology and free-flow times, hence the
+    # projector and the shortest-path start
+    projector = FlowProjector(instance.network)
+    x0 = initial_shortest_path_policy(instance.network)
+    alpha_rows = _sweep_rows(
+        config, instance, projector, x0, [(alpha, alpha) for alpha in config.alpha_grid]
+    )
+    factor_rows, scale_rows = [], []
     for factor in config.factor_grid:
         scenario = load_instance(config, sensitivity_factor=factor)
-        _sweep_trace(config, scenario, config.sweep_alpha, factor_rows, factor)
+        factor_rows += _sweep_rows(config, scenario, projector, x0, [(factor, config.sweep_alpha)])
     for scale in config.scale_grid:
         scenario = load_instance(config, demand_scale=scale)
-        _sweep_trace(config, scenario, config.sweep_alpha, scale_rows, scale)
+        scale_rows += _sweep_rows(config, scenario, projector, x0, [(scale, config.sweep_alpha)])
     paths = []
     for name, rows in [
         ("sweep_alpha", alpha_rows),

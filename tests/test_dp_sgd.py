@@ -249,6 +249,29 @@ def test_infeasible_start_rejected(triangle, triangle_latency):
         )
 
 
+def test_infeasible_start_names_first_bad_block(diamond4):
+    # break each block together with the last one: the error names the
+    # first broken block in row-major order
+    lat = affine_latency_from(diamond4, 2.0)
+    ds = fixed_demand_dataset(np.zeros((4, 4)), 1)
+    consts = compute_constants(diamond4, lat, 1.0, alpha=0.5, period_minutes=60.0)
+    x0 = initial_shortest_path_policy(diamond4)
+
+    def broken(blocks):
+        x = x0.copy()
+        for block in blocks:
+            if x[block].any():
+                x[block] = 0.0  # a routable pair loses its path
+            else:
+                x[block, 0] = 1.0  # a diagonal block gains flow
+        return x
+
+    for block in range(16):
+        o, d = divmod(block, 4)
+        with pytest.raises(ValueError, match=rf"x0 block \({o + 1}, {d + 1}\) is not a unit flow"):
+            descend(ds, diamond4, lat, consts, broken({block, 15}))
+
+
 def test_perturb_and_project_zero_noise_is_projection(diamond4):
     lat = LatencyModel(slope=np.full(10, 0.2), free_flow=diamond4.free_flow_time)
     x = initial_shortest_path_policy(diamond4)

@@ -311,3 +311,29 @@ def test_cli_byte_identical_reruns(tiny_config, tmp_path):
     assert cli_main(["solve-private", "--config", cfg, "--out-dir", str(out2)]) == 0
     assert (out1 / "policy.csv").read_bytes() == (out2 / "policy.csv").read_bytes()
     assert (out1 / "cost_trace.csv").read_bytes() == (out2 / "cost_trace.csv").read_bytes()
+
+
+def test_cli_solve_private_honours_noise_scale_override(tiny_config, tmp_path):
+    config = dataclasses.replace(tiny_config, noise_scale_override=0.0)
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "quiet"
+    assert cli_main(["solve-private", "--config", cfg, "--out-dir", str(out)]) == 0
+    meta = json.loads((out / "solve_private_metadata.json").read_text())
+    assert meta["sigma"] == 0.0
+
+
+def test_sweep_solves_alpha_baseline_once(tiny_config, tmp_path, monkeypatch):
+    # the alpha grid shares one dataset and one unregularized baseline; each
+    # latency and demand scenario needs its own
+    import privroute.harness as harness
+
+    calls = []
+    original = harness.frank_wolfe_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "frank_wolfe_solve", counting)
+    run_sensitivity_sweep(tiny_config, tmp_path / "sw")
+    assert len(calls) == 1 + len(tiny_config.factor_grid) + len(tiny_config.scale_grid)
