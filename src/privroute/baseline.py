@@ -38,14 +38,17 @@ def _linear_minimizer(gradient_blocks, edge_costs, network, alpha, routable):
     return S
 
 
-def frank_wolfe_solve(demand, network, latency, alpha=0.0, gap_tol=1e-6, max_iters=5000):
+def frank_wolfe_solve(
+    demand, network, latency, alpha=0.0, gap_tol=1e-6, max_iters=5000, x0=None
+):
     """Minimize the (optionally regularized) travel-time cost at one demand.
 
     Returns (policy, trace) where trace rows are (iteration, duality gap,
     objective value). Stops once the Frank-Wolfe gap drops to gap_tol or at
     max_iters; the gap is reported either way. Step lengths come from exact
     line search on the quadratic objective, falling back to 2 / (j + 2) when
-    the directional curvature vanishes.
+    the directional curvature vanishes. The start is the free-flow
+    shortest-path policy; a caller that already built it passes it as x0.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -57,7 +60,7 @@ def frank_wolfe_solve(demand, network, latency, alpha=0.0, gap_tol=1e-6, max_ite
     positive = np.nonzero(demand_vec)[0]
     slope = latency.slope
 
-    X = initial_shortest_path_policy(network)
+    X = initial_shortest_path_policy(network) if x0 is None else x0
     for block in positive:
         o, d = divmod(int(block), n)
         if not np.any(X[block]):

@@ -27,8 +27,8 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -109,16 +109,15 @@ def _check_feasible_start(x0, projector, tol=1e-6):
     X = np.asarray(x0, dtype=float).reshape(n * n, m)
     if np.any(X < -1e-9) or np.any(X > 1 + 1e-9):
         raise ValueError("x0 violates the per-edge [0, 1] bounds")
-    # expected net inflow per block: -1 at o and +1 at d for routable pairs
-    routable = np.array(
-        [o != d and projector.reachable(o, d) for o in range(n) for d in range(n)], dtype=float
-    )
+    # a routable block's net inflow must be -1 at o and +1 at d, any other
+    # block's zero everywhere
     blocks = np.arange(n * n)
-    expected = np.zeros((n * n, n))
-    expected[blocks, blocks // n] = -routable
-    expected[blocks, blocks % n] += routable
-    error = np.max(np.abs(X @ network.incidence_matrix().T - expected), axis=1)
-    bad = np.flatnonzero(error > tol)
+    o, d = np.divmod(blocks, n)
+    routable = ((o != d) & projector.reachable(o, d)).astype(float)
+    error = X @ network.incidence_matrix().T
+    error[blocks, o] += routable
+    error[blocks, d] -= routable
+    bad = np.flatnonzero(np.abs(error).max(axis=1) > tol)
     if bad.size:
         o, d = divmod(int(bad[0]), n)
         raise ValueError(f"x0 block ({o + 1}, {d + 1}) is not a unit flow")
@@ -209,8 +208,8 @@ def private_sgd(
             raise ValueError("either privacy parameters or noise_scale is required")
         sigma = gaussian_noise_scale(constants, dataset.day_count, privacy)
     else:
-        if noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not (noise_scale >= 0 and math.isfinite(noise_scale)):
+            raise ValueError("noise_scale must be nonnegative and finite")
         sigma = float(noise_scale)
     if projector is None:
         projector = FlowProjector(network)

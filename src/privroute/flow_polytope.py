@@ -9,12 +9,20 @@ set here: it keeps the set bounded (diameter n * sqrt(m)) in the presence of
 directed cycles.
 
 Projection onto a block polytope runs Dykstra's alternating projections
-between the conservation subspace and the box [0, 1]^m; all blocks of a
-policy are projected simultaneously since the feasible set is a product.
+between the conservation subspace {x : A x = b} and the box [0, 1]^m. The
+subspace is affine, so Dykstra's method is block-coordinate ascent on the
+dual (Tibshirani, "Dykstra's algorithm, ADMM, and coordinate descent",
+NeurIPS 2017) and runs on the conservation multipliers lam alone: iterate k
+is x_k = clip(v + A^T lam_k, 0, 1), and lam_{k+1} = lam_k - G (A x_k - b)
+with G the pseudo-inverse of A A^T. The conservation residual that the
+stopping test reads is thus also the next step, and no box correction is
+stored. All blocks of a policy are projected simultaneously since the
+feasible set is a product.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +30,7 @@ import numpy as np
 DEFAULT_TOL = 1e-8
 _PEEL_EPS = 1e-12
 _MAX_DYKSTRA_ITERS = 10_000
+_SHOWN_PAIRS = 5  # unconverged pairs named in a ProjectionConvergenceError
 
 
 class UnreachablePairError(ValueError):
@@ -29,15 +38,25 @@ class UnreachablePairError(ValueError):
 
 
 class ProjectionConvergenceError(RuntimeError):
-    """Dykstra hit the iteration cap before meeting the tolerance."""
+    """Dykstra hit the iteration cap before meeting the tolerance.
 
-    def __init__(self, residual, iterations):
-        super().__init__(
-            f"projection did not converge in {iterations} iterations "
-            f"(conservation residual {residual:.3e})"
-        )
+    Carries the worst conservation residual at the cap, the iteration count,
+    the number of unconverged pairs and the first few of them as 1-based
+    (origin, destination) node ids, as printed.
+    """
+
+    def __init__(self, residual, iterations, pairs):
         self.residual = residual
         self.iterations = iterations
+        self.unconverged = len(pairs)
+        self.pairs = tuple((o + 1, d + 1) for o, d in pairs[:_SHOWN_PAIRS])
+        shown = ", ".join(f"({o}, {d})" for o, d in self.pairs)
+        more = ", ..." if self.unconverged > _SHOWN_PAIRS else ""
+        super().__init__(
+            f"projection did not converge in {iterations} iterations "
+            f"(conservation residual {residual:.3e}; "
+            f"{self.unconverged} unconverged pairs: {shown}{more})"
+        )
 
 
 def pair_index(o, d, n):
@@ -84,100 +103,110 @@ class FlowProjector:
     """Euclidean projection onto unit-flow polytopes of one network.
 
     The conservation equations share one reduced incidence matrix across all
-    od pairs, so its normal matrix is factored once and reused; the projector
-    is read-only after construction and safe to share.
+    od pairs, so its normal matrix is factored once and reused, and the
+    routable pairs of the network are listed once; the projector is
+    read-only after construction and safe to share.
     """
 
     def __init__(self, network):
         self.network = network
-        n, m = network.node_count, network.edge_count
+        n = network.node_count
         A = network.incidence_matrix()
         self._A_reduced = A[: n - 1]
+        self._A_reduced_T = np.ascontiguousarray(self._A_reduced.T)
         gram = self._A_reduced @ self._A_reduced.T
         # pseudo-inverse: the (n-1) x (n-1) normal matrix is tiny, and this
         # also covers graphs whose underlying undirected graph is disconnected
-        self._gram_solve = np.linalg.pinv(gram)
+        self._gram_solve_T = np.ascontiguousarray(np.linalg.pinv(gram).T)
         self._reach = reachability(network)
+        routable = self._reach & ~np.eye(n, dtype=bool)
+        self._pairs = np.argwhere(routable)  # row-major: sorted by (o, d)
+        self._pair_rows = self._pairs[:, 0] * n + self._pairs[:, 1]
 
-    def rhs_for_pairs(self, pairs):
+    def _rhs(self, o, d):
+        # net inflow per row: -1 at o and +1 at d, without the dropped node n-1
         n = self.network.node_count
-        B = np.zeros((n - 1, len(pairs)))
-        for col, (o, d) in enumerate(pairs):
-            if o < n - 1:
-                B[o, col] -= 1.0
-            if d < n - 1:
-                B[d, col] += 1.0
-        return B
-
-    def _affine_project(self, X, B):
-        # rows of X onto {x : A_reduced x = b}, one b per row
-        R = self._A_reduced @ X.T - B
-        return X - (self._A_reduced.T @ (self._gram_solve @ R)).T
+        B = np.zeros((o.size, n))
+        rows = np.arange(o.size)
+        B[rows, o] = -1.0
+        B[rows, d] = 1.0
+        return np.ascontiguousarray(B[:, : n - 1])
 
     def project_rows(self, V, pairs, tol=DEFAULT_TOL):
         """Project each row of V onto the unit-flow polytope of its pair.
 
-        Returns an array of the same shape. Each block iterates Dykstra until
-        its own successive change drops to tol/10 and its conservation
+        pairs is a sequence of (o, d) or an integer array of shape (rows, 2).
+        Returns an array of the same shape as V. Each block iterates Dykstra
+        until its own successive change drops to tol/10 and its conservation
         residual to tol; converged blocks are frozen so stragglers do not
-        re-run the whole batch. Raises UnreachablePairError if a pair has no
-        directed path, and ProjectionConvergenceError at the iteration cap.
+        re-run the whole batch. Raises ValueError for a non-finite tol or
+        entry of V, UnreachablePairError if a pair has no directed path, and
+        ProjectionConvergenceError at the iteration cap.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        for o, d in pairs:
-            if o == d:
+        if not (tol > 0 and math.isfinite(tol)):
+            raise ValueError("tol must be positive and finite")
+        od = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        o, d = od[:, 0], od[:, 1]
+        bad = np.flatnonzero((o == d) | ~self._reach[o, d])
+        if bad.size:
+            first_o, first_d = int(o[bad[0]]), int(d[bad[0]])
+            if first_o == first_d:
                 raise ValueError("project_rows expects pairs with o != d")
-            if not self._reach[o, d]:
-                raise UnreachablePairError(
-                    f"no path from {o + 1} to {d + 1}: the flow polytope is empty"
-                )
+            raise UnreachablePairError(
+                f"no path from {first_o + 1} to {first_d + 1}: the flow polytope is empty"
+            )
         V = np.asarray(V, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"non-finite entry in the row of pair ({o[bad[0]] + 1}, {d[bad[0]] + 1})"
+            )
+        # dual Dykstra (module docstring), one block per row
+        A, A_T, G_T = self._A_reduced, self._A_reduced_T, self._gram_solve_T
+        B = self._rhs(o, d)
+        R = V @ A_T - B  # residual of the start: the first step is the affine projection
+        lam = np.zeros_like(R)
+        X, previous, scratch = np.empty_like(V), np.empty_like(V), np.empty_like(V)
+        R_abs = np.empty_like(R)
         out = np.empty_like(V)
         active = np.arange(V.shape[0])
-        X = V.copy()
-        B = self.rhs_for_pairs(pairs)
-        correction = np.zeros_like(X)  # Dykstra increment for the box only;
-        # the conservation set is affine, so its increment can be dropped.
-        previous = X
-        worst_residual = np.inf
+        if active.size == 0:
+            return out
         for iteration in range(1, _MAX_DYKSTRA_ITERS + 1):
-            Y = self._affine_project(X, B)
-            Z = Y + correction
-            X = np.clip(Z, 0.0, 1.0)
-            correction = Z - X
-            residual = np.max(np.abs(self._A_reduced @ X.T - B), axis=0)
+            lam -= R @ G_T
+            np.matmul(lam, A, out=X)
+            X += V
+            np.clip(X, 0.0, 1.0, out=X)
+            np.matmul(X, A_T, out=R)
+            R -= B
+            residual = np.abs(R, out=R_abs).max(axis=1)
             if iteration > 1:
-                change = np.max(np.abs(X - previous), axis=1)
+                change = np.abs(np.subtract(X, previous, out=scratch), out=scratch).max(axis=1)
                 done = (change <= tol / 10.0) & (residual <= tol)
-                if np.any(done):
+                if done.any():
                     out[active[done]] = X[done]
                     keep = ~done
                     active = active[keep]
                     if active.size == 0:
                         return out
-                    X = X[keep]
-                    B = B[:, keep]
-                    correction = correction[keep]
-            previous = X
-            worst_residual = float(np.max(residual))
-        raise ProjectionConvergenceError(worst_residual, _MAX_DYKSTRA_ITERS)
+                    X, V, B, lam, R = X[keep], V[keep], B[keep], lam[keep], R[keep]
+                    k = active.size
+                    previous, scratch, R_abs = previous[:k], scratch[:k], R_abs[:k]
+            X, previous = previous, X
+        raise ProjectionConvergenceError(
+            float(residual.max()), _MAX_DYKSTRA_ITERS, od[active].tolist()
+        )
 
     def project_block(self, v, od, tol=DEFAULT_TOL):
         return self.project_rows(np.asarray(v, dtype=float)[None, :], [od], tol=tol)[0]
 
     def reachable(self, o, d):
-        return bool(self._reach[o, d])
+        """Whether a directed o -> d path exists; o and d may be index arrays."""
+        return self._reach[o, d]
 
     def routable_pairs(self):
         """Ordered (o, d) pairs with o != d and a directed path between them."""
-        n = self.network.node_count
-        return [
-            (o, d)
-            for o in range(n)
-            for d in range(n)
-            if o != d and self._reach[o, d]
-        ]
+        return [(o, d) for o, d in self._pairs.tolist()]
 
     def project_policy(self, x, tol=DEFAULT_TOL):
         """Blockwise projection of a stacked policy.
@@ -188,10 +217,8 @@ class FlowProjector:
         """
         n, m = self.network.node_count, self.network.edge_count
         X = np.asarray(x, dtype=float).reshape(n * n, m)
-        pairs = self.routable_pairs()
-        rows = [pair_index(o, d, n) for o, d in pairs]
         out = np.zeros((n * n, m))
-        out[rows] = self.project_rows(X[rows], pairs, tol=tol)
+        out[self._pair_rows] = self.project_rows(X[self._pair_rows], self._pairs, tol=tol)
         return out
 
 

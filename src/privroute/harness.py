@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -82,6 +83,12 @@ class ExperimentConfig:
             if not value:
                 raise ValueError(f"{name} must be nonempty")
             setattr(self, name, value)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            # JSON admits NaN and Infinity, which pass every comparison below
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("period_minutes", "alpha", "capacity_scale", "demand_scale", "epsilon", "gap_tol_rel", "step_tol", "final_tol", "sweep_alpha"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -151,9 +158,8 @@ def resolve_constants(config, instance, dataset, alpha=None):
 def solve_baseline(config, instance, dataset, alpha=0.0):
     """Frank-Wolfe at the dataset's average demand (the fast evaluation path)."""
     avg = demand_mod.average_demand(dataset)
-    x0_cost = travel_time_cost(
-        initial_shortest_path_policy(instance.network), avg, instance.latency
-    )
+    x0 = initial_shortest_path_policy(instance.network)
+    x0_cost = travel_time_cost(x0, avg, instance.latency)
     return frank_wolfe_solve(
         avg,
         instance.network,
@@ -161,6 +167,7 @@ def solve_baseline(config, instance, dataset, alpha=0.0):
         alpha=alpha,
         gap_tol=config.gap_tol_rel * max(x0_cost, 1e-300),
         max_iters=config.max_fw_iters,
+        x0=x0,
     )
 
 

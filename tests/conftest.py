@@ -185,3 +185,51 @@ def qp_projection_oracle(v, od, network):
     if best is None:
         raise RuntimeError("polytope appears empty under enumeration")
     return best
+
+
+def dykstra_reference(V, pairs, network, tol):
+    """Primal Dykstra projection of each row of V onto its pair's unit-flow
+    polytope, with the freeze rule and cap of FlowProjector.project_rows.
+
+    Alternates the affine projection onto the conservation equations with
+    the clip to [0, 1]^m, carrying Dykstra's increment for the box only (the
+    increment of an affine set cancels). The reference the dual-form
+    projector is checked against.
+    """
+    from privroute.flow_polytope import _MAX_DYKSTRA_ITERS
+
+    n = network.node_count
+    A = network.incidence_matrix()[: n - 1]
+    gram_solve = np.linalg.pinv(A @ A.T)
+    B = np.zeros((n - 1, len(pairs)))
+    for col, (o, d) in enumerate(pairs):
+        if o < n - 1:
+            B[o, col] -= 1.0
+        if d < n - 1:
+            B[d, col] += 1.0
+    V = np.asarray(V, dtype=float)
+    out = np.empty_like(V)
+    active = np.arange(V.shape[0])
+    X = V.copy()
+    correction = np.zeros_like(X)
+    previous = X
+    for iteration in range(1, _MAX_DYKSTRA_ITERS + 1):
+        Y = X - (A.T @ (gram_solve @ (A @ X.T - B))).T
+        Z = Y + correction
+        X = np.clip(Z, 0.0, 1.0)
+        correction = Z - X
+        residual = np.max(np.abs(A @ X.T - B), axis=0)
+        if iteration > 1:
+            change = np.max(np.abs(X - previous), axis=1)
+            done = (change <= tol / 10.0) & (residual <= tol)
+            if np.any(done):
+                out[active[done]] = X[done]
+                keep = ~done
+                active = active[keep]
+                if active.size == 0:
+                    return out
+                X = X[keep]
+                B = B[:, keep]
+                correction = correction[keep]
+        previous = X
+    raise RuntimeError("reference Dykstra hit the iteration cap")

@@ -284,3 +284,16 @@ def test_privacy_params_validation():
         PrivacyParams(0.0, 0.1)
     with pytest.raises(ValueError):
         PrivacyParams(0.1, 1.0)
+
+
+def test_non_finite_privacy_and_noise_rejected(triangle, triangle_latency):
+    with pytest.raises(ValueError, match="finite"):
+        PrivacyParams(math.inf, 0.1)
+    with pytest.raises(ValueError):
+        PrivacyParams(math.nan, 0.1)
+    ds = sample_dataset(triangle_demand(), 3, 60.0, seed=1)
+    consts = compute_constants(triangle, triangle_latency, 1.2, alpha=0.5, period_minutes=60.0)
+    x0 = initial_shortest_path_policy(triangle)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_scale must be nonnegative and finite"):
+            private_sgd(ds, triangle, triangle_latency, consts, None, x0, seed=1, noise_scale=bad)

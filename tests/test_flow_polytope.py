@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from privroute import flow_polytope
 from privroute.flow_polytope import (
     FlowProjector,
+    ProjectionConvergenceError,
     UnreachablePairError,
     conservation_residual,
     conservation_rhs,
@@ -14,6 +16,7 @@ from privroute.flow_polytope import (
     shortest_path_flow,
 )
 from conftest import (
+    dykstra_reference,
     enumerate_simple_paths,
     make_random_network,
     qp_projection_oracle,
@@ -94,6 +97,70 @@ def test_project_policy_noisy_residuals_within_tol(diamond4):
             res = conservation_residual(out[pair_index(o, d, 4)], (o, d), diamond4)
             assert res <= 1e-8
     assert np.min(out) >= -1e-12 and np.max(out) <= 1 + 1e-12
+
+
+def _routable_rows(projector):
+    n = projector.network.node_count
+    pairs = projector.routable_pairs()
+    return pairs, [pair_index(o, d, n) for o, d in pairs]
+
+
+def test_dual_projection_matches_primal_dykstra(sioux_falls):
+    # the dual iteration produces Dykstra's iterates: same points up to
+    # rounding, hence the same freeze decisions
+    rng = np.random.default_rng(4)
+    sioux = sioux_falls.network
+    random_net = make_random_network(rng, 7)
+    sioux_x = initial_shortest_path_policy(sioux)
+    random_x = random_policy(random_net, rng)
+    inputs = [
+        (sioux, sioux_x + rng.normal(scale=1e-2, size=sioux_x.shape)),
+        (random_net, random_x + rng.normal(scale=0.3, size=random_x.shape)),
+    ]
+    tol = 1e-8
+    for network, x in inputs:
+        projector = FlowProjector(network)
+        pairs, rows = _routable_rows(projector)
+        out = projector.project_rows(x[rows], pairs, tol=tol)
+        reference = dykstra_reference(x[rows], pairs, network, tol)
+        assert np.max(np.abs(out - reference)) <= 1e-12
+        # the stopping rule's residual: the equations of all nodes but the last
+        n = network.node_count
+        A = network.incidence_matrix()[: n - 1]
+        for od, block in zip(pairs, out):
+            assert np.max(np.abs(A @ block - conservation_rhs(od, n)[: n - 1])) <= tol
+
+
+def test_project_rows_rejects_non_finite_input(diamond4):
+    projector = FlowProjector(diamond4)
+    pairs, rows = _routable_rows(projector)
+    x = random_policy(diamond4, np.random.default_rng(5))[rows]
+    x[4, 2] = np.inf
+    x[7, 0] = np.nan
+    o, d = pairs[4]
+    with pytest.raises(ValueError, match=rf"non-finite entry in the row of pair \({o + 1}, {d + 1}\)"):
+        projector.project_rows(x, pairs)
+    x[4, 2] = 0.0
+    o, d = pairs[7]
+    with pytest.raises(ValueError, match=rf"pair \({o + 1}, {d + 1}\)"):
+        projector.project_rows(x, pairs)
+
+
+def test_convergence_error_names_unconverged_pairs(diamond4, monkeypatch):
+    monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 2)
+    projector = FlowProjector(diamond4)
+    pairs, rows = _routable_rows(projector)
+    rng = np.random.default_rng(6)
+    x = rng.normal(scale=0.6, size=(16, diamond4.edge_count))
+    with pytest.raises(ProjectionConvergenceError) as caught:
+        projector.project_rows(x[rows], pairs, tol=1e-12)
+    err = caught.value
+    assert err.iterations == 2
+    assert err.unconverged == len(pairs)  # no block settles in two iterations
+    first = tuple((o + 1, d + 1) for o, d in pairs[:5])
+    assert err.pairs == first
+    shown = ", ".join(f"({o}, {d})" for o, d in first)
+    assert f"{len(pairs)} unconverged pairs: {shown}, ..." in str(err)
 
 
 def test_shortest_path_flow_triangle_examples(triangle):

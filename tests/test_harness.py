@@ -337,3 +337,44 @@ def test_sweep_solves_alpha_baseline_once(tiny_config, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "frank_wolfe_solve", counting)
     run_sensitivity_sweep(tiny_config, tmp_path / "sw")
     assert len(calls) == 1 + len(tiny_config.factor_grid) + len(tiny_config.scale_grid)
+
+
+def test_config_rejects_non_finite_values(tiny_config, tmp_path):
+    # JSON's NaN and Infinity pass a `<= 0` test; they must fail at load, not
+    # after thousands of projection iterations
+    base = json.loads(tiny_config.to_json())
+    for key, literal in [
+        ("step_tol", "NaN"),
+        ("alpha", "Infinity"),
+        ("sensitivity_factor", "NaN"),
+        ("noise_scale_override", "Infinity"),
+        ("epsilon_grid", "[0.1, NaN]"),
+    ]:
+        text = json.dumps({k: v for k, v in base.items() if k != key})
+        text = text[:-1] + f', "{key}": {literal}}}'
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ExperimentConfig.from_json(text)
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(text)
+        assert cli_main(["solve-private", "--config", str(cfg), "--out-dir", str(tmp_path / key)]) == 1
+
+
+def test_solve_baseline_builds_start_once(tiny_config, monkeypatch):
+    import privroute.baseline as baseline
+    import privroute.harness as harness
+    from privroute.demand import sample_dataset
+
+    calls = []
+    original = harness.initial_shortest_path_policy
+
+    def counting(network, *args):
+        if not args:  # the free-flow start, not a Frank-Wolfe vertex
+            calls.append(1)
+        return original(network, *args)
+
+    monkeypatch.setattr(harness, "initial_shortest_path_policy", counting)
+    monkeypatch.setattr(baseline, "initial_shortest_path_policy", counting)
+    instance = load_instance(tiny_config)
+    dataset = sample_dataset(instance.mean_demand, 3, 60.0, seed=1)
+    harness.solve_baseline(tiny_config, instance, dataset)
+    assert len(calls) == 1
