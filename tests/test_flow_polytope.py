@@ -131,6 +131,69 @@ def test_dual_projection_matches_primal_dykstra(sioux_falls):
             assert np.max(np.abs(A @ block - conservation_rhs(od, n)[: n - 1])) <= tol
 
 
+def _noisy_sioux_rows(sioux_falls):
+    network = sioux_falls.network
+    projector = FlowProjector(network)
+    pairs, rows = _routable_rows(projector)
+    x = initial_shortest_path_policy(network)
+    x = x + np.random.default_rng(4).normal(scale=1e-2, size=x.shape)
+    return projector, pairs, x[rows]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])  # the step and release tolerances
+def test_dropped_node_residual_within_n_minus_1_tol(sioux_falls, tol):
+    # the stopping rule reads the n - 1 reduced equations; the last node's
+    # net-inflow error is minus their sum, so it is held to (n - 1) * tol
+    projector, pairs, V = _noisy_sioux_rows(sioux_falls)
+    network = projector.network
+    n = network.node_count
+    out = projector.project_rows(V, pairs, tol=tol)
+    A = network.incidence_matrix()[: n - 1]
+    for od, block in zip(pairs, out):
+        assert np.max(np.abs(A @ block - conservation_rhs(od, n)[: n - 1])) <= tol
+        assert conservation_residual(block, od, network) <= (n - 1) * tol
+
+
+def test_chunked_projection_matches_reference(sioux_falls, monkeypatch):
+    projector, pairs, V = _noisy_sioux_rows(sioux_falls)
+    tol = 1e-8
+    whole = projector.project_rows(V, pairs, tol=tol)
+    # 552 rows in chunks of 100: five full chunks and a short one
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * V.shape[1] * V.itemsize)
+    chunked = projector.project_rows(V, pairs, tol=tol)
+    reference = dykstra_reference(V, pairs, projector.network, tol)
+    assert np.max(np.abs(chunked - reference)) <= 1e-12
+    assert np.max(np.abs(chunked - whole)) <= 1e-15
+
+
+def test_convergence_error_aggregates_chunks(diamond4, monkeypatch):
+    monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 2)
+    projector = FlowProjector(diamond4)
+    pairs, rows = _routable_rows(projector)
+    # the noisy rows of test_convergence_error_names_unconverged_pairs, none
+    # of which settles in two iterations, with every even row replaced by a
+    # feasible one, which does: the unconverged pairs are the odd rows,
+    # spread over every chunk
+    x = np.random.default_rng(6).normal(scale=0.6, size=(16, diamond4.edge_count))[rows]
+    x[::2] = random_policy(diamond4, np.random.default_rng(7))[rows][::2]
+    stuck = pairs[1::2]
+    with pytest.raises(ProjectionConvergenceError) as whole:
+        projector.project_rows(x, pairs, tol=1e-12)
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 3 * x.shape[1] * x.itemsize)
+    with pytest.raises(ProjectionConvergenceError) as chunked:
+        projector.project_rows(x, pairs, tol=1e-12)
+    for err in (whole.value, chunked.value):
+        assert err.iterations == 2
+        assert err.unconverged == len(stuck)
+        assert err.pairs == tuple((o + 1, d + 1) for o, d in stuck[:5])
+    assert chunked.value.residual == pytest.approx(whole.value.residual, rel=1e-12)
+
+
+def test_project_rows_empty_input(diamond4):
+    out = FlowProjector(diamond4).project_rows(np.empty((0, diamond4.edge_count)), [])
+    assert out.shape == (0, diamond4.edge_count)
+
+
 def test_project_rows_rejects_non_finite_input(diamond4):
     projector = FlowProjector(diamond4)
     pairs, rows = _routable_rows(projector)
