@@ -59,6 +59,7 @@ class SensitivityReport:
     slack: float
     max_ratio: float
     passed: bool
+    strict_passed: bool  # every shift within its bound, with no slack
 
     def to_csv(self):
         buf = io.StringIO()
@@ -85,6 +86,7 @@ class SensitivityReport:
                 "max_ratio=%.17g" % self.max_ratio,
                 "slack=%.17g" % self.slack,
                 "PASS" if self.passed else "FAIL",
+                "strict=" + ("PASS" if self.strict_passed else "FAIL"),
             ]
         )
         return buf.getvalue()
@@ -96,7 +98,8 @@ def audit_sensitivity(config, trials):
     Each trial samples a dataset, perturbs one uniformly chosen (day, od)
     entry by one request, runs the solver's deterministic part on both, and
     records the shift-to-bound ratio. Passes when the largest ratio stays
-    below 1 plus the accumulated projection slack.
+    below 1 plus the accumulated projection slack; passes strictly when
+    every shift stays within its bound with no slack.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -153,6 +156,7 @@ def audit_sensitivity(config, trials):
         slack=slack,
         max_ratio=max_ratio,
         passed=all(row.distance <= row.bound + abs_slack for row in rows),
+        strict_passed=all(row.distance <= row.bound for row in rows),
     )
 
 

@@ -142,7 +142,10 @@ def _cmd_audit(args):
             "passed": report.passed,
         },
     )
-    print(f"audit {'PASS' if report.passed else 'FAIL'}: max ratio {report.max_ratio:.4g} (slack {report.slack:.3g})")
+    print(
+        f"audit {'PASS' if report.passed else 'FAIL'}: max ratio {report.max_ratio:.4g} "
+        f"(slack {report.slack:.3g}) strict={'PASS' if report.strict_passed else 'FAIL'}"
+    )
     return 0 if report.passed else 2
 
 

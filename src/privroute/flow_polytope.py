@@ -20,6 +20,18 @@ stored. A holds the conservation equations of all nodes but the last, whose
 row is minus their sum. The feasible set is a product, so the blocks of a
 policy are projected together as rows of one array, in cache-sized chunks of
 rows taken one after another.
+
+That loop is preconditioned gradient ascent on the dual, so it runs in two
+phases. The first _MOMENTUM_AFTER iterations of a chunk are the plain loop
+above. From then on the rows still active extrapolate their multipliers
+with Nesterov momentum (Beck and Teboulle's FISTA): lam_k = y - G (A x - b)
+with x read at y, then y = lam_k + beta_k (lam_k - lam_{k-1}), and a row's
+momentum restarts (beta = 0, t = 1) when its step turns back against it,
+<A x - b, lam_k - lam_{k-1}> > 0 (O'Donoghue and Candes, Found. Comput.
+Math. 2015). Either phase stops on the same test, and for any multipliers
+y the point x = clip(v + A^T y, 0, 1) is the exact projection of v onto the
+polytope with right-hand side A x: a returned row is the exact projection
+for a right-hand side within tol of b in each reduced equation.
 """
 from __future__ import annotations
 
@@ -36,6 +48,12 @@ _MAX_DYKSTRA_ITERS = 10_000
 # such buffers a Dykstra iteration streams then stays in L2 (1 MiB ran
 # fastest of 256 KiB to 16 MiB on the 64-node grid).
 _CHUNK_BYTES = 1 << 20
+# Plain dual iterations per chunk before the rows still active switch to
+# restarted momentum. Nearly every step projection of the default runs freezes
+# within 20 iterations and keeps the plain loop's iterates; momentum from
+# the first iteration slowed them (five 64-node grid steps: 0.31 s against
+# 0.26 s), while the noisy release there fell from 0.93 s to 0.39 s at 20.
+_MOMENTUM_AFTER = 20
 _SHOWN_PAIRS = 5  # unconverged pairs named in a ProjectionConvergenceError
 
 
@@ -154,6 +172,12 @@ class FlowProjector:
         if a pair has no directed path, and ProjectionConvergenceError at the
         iteration cap, naming the unconverged pairs of all chunks in row
         order.
+
+        The multipliers start at zero in every call, and nothing is kept
+        between calls. The release projection must not start from the
+        descent's multipliers: those depend on the private data, the noise
+        added before the release does not cover them, and the released
+        policy would then depend on them.
         """
         if not (tol > 0 and math.isfinite(tol)):
             raise ValueError("tol must be positive and finite")
@@ -196,14 +220,34 @@ class FlowProjector:
         A, A_T, G_T = self._A_reduced, self._A_reduced_T, self._gram_solve_T
         R = V @ A_T - B  # residual of the start: the first step is the affine projection
         lam = np.zeros_like(R)
+        # momentum state (module docstring), allocated when the second phase
+        # starts and only for the rows still active then: y is the point X
+        # and R are read at, step a spare buffer, t the per-row FISTA weight
+        y = step = t = None
         X, previous, scratch = np.empty_like(V), np.empty_like(V), np.empty_like(V)
         # |R| is stored transposed: numpy takes the maxima of its columns
         # elementwise across rows, far faster than those of many short rows
         R_abs = np.empty(R.shape[::-1])
         active = np.arange(V.shape[0])
         for iteration in range(1, _MAX_DYKSTRA_ITERS + 1):
-            lam -= R @ G_T
-            np.matmul(lam, A, out=X)
+            if iteration <= _MOMENTUM_AFTER:
+                lam -= R @ G_T
+                np.matmul(lam, A, out=X)
+            else:
+                if y is None:
+                    y, step, t = lam.copy(), np.empty_like(lam), np.ones(lam.shape[0])
+                # lam_k = y - R G; y = lam_k + beta (lam_k - lam_{k-1}), with
+                # beta = 0 and t = 1 on rows whose step turns back against
+                # their momentum, <R, lam_k - lam_{k-1}> > 0
+                np.subtract(y, np.matmul(R, G_T, out=step), out=step)
+                np.subtract(step, lam, out=y)
+                t[np.einsum("ij,ij->i", R, y) > 0.0] = 1.0
+                t_next = 0.5 + np.sqrt(0.25 + t * t)
+                y *= ((t - 1.0) / t_next)[:, None]
+                y += step
+                t[:] = t_next
+                lam, step = step, lam
+                np.matmul(y, A, out=X)
             X += V
             np.clip(X, 0.0, 1.0, out=X)
             np.matmul(X, A_T, out=R)
@@ -233,6 +277,8 @@ class FlowProjector:
                     X, V, B, lam, R = X[keep], V[keep], B[keep], lam[keep], R[keep]
                     k = active.size
                     previous, scratch, R_abs = previous[:k], scratch[:k], R_abs[:, :k]
+                    if y is not None:
+                        y, step, t = y[keep], step[:k], t[keep]
             X, previous = previous, X
         return active, float(residual.max())
 

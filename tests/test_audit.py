@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from privroute import audit
 from privroute.audit import (
     SensitivityAuditConfig,
     audit_sensitivity,
@@ -41,6 +42,18 @@ def test_audit_csv_shape(ring5, ring5_demand):
     assert len(lines) == 5  # header + 3 trials + summary
     assert lines[-1].startswith("summary")
     assert lines[-1].endswith("PASS")
+
+
+def test_audit_strict_verdict(ring5, ring5_demand, monkeypatch):
+    config = make_audit_config(ring5, ring5_demand)
+    report = audit_sensitivity(config, trials=3)
+    assert report.strict_passed
+    assert report.to_csv().strip().splitlines()[-1].endswith(",PASS,strict=PASS")
+    # bounds a millionth of the true ones: every nonzero shift exceeds them
+    monkeypatch.setattr(audit, "sensitivity_bound", lambda *args: 1e-6 * sensitivity_bound(*args))
+    report = audit_sensitivity(config, trials=3)
+    assert not report.strict_passed
+    assert report.to_csv().strip().splitlines()[-1].endswith("strict=FAIL")
 
 
 def test_identical_datasets_zero_distance(ring5, ring5_demand):

@@ -279,6 +279,21 @@ def test_perturb_and_project_zero_noise_is_projection(diamond4):
     assert np.max(np.abs(out - x)) < 1e-9
 
 
+def test_release_carries_no_state_from_descent(ring5, ring5_demand):
+    # every projection starts from zero multipliers: a projector that has
+    # just run the descent releases bit for bit what a fresh one does
+    latency = affine_latency_from(ring5, 2.0)
+    dataset = sample_dataset(ring5_demand, 5, 60.0, seed=11)
+    constants = compute_constants(ring5, latency, float(dataset.matrices.max()), 1.0, 60.0)
+    used = FlowProjector(ring5)
+    x_pre, _, _ = descend(
+        dataset, ring5, latency, constants, initial_shortest_path_policy(ring5), projector=used
+    )
+    released = perturb_and_project(x_pre, 0.3, 7, ring5, projector=used)
+    fresh = perturb_and_project(x_pre, 0.3, 7, ring5, projector=FlowProjector(ring5))
+    assert np.array_equal(released, fresh)
+
+
 def test_privacy_params_validation():
     with pytest.raises(ValueError):
         PrivacyParams(0.0, 0.1)

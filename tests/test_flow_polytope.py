@@ -105,30 +105,56 @@ def _routable_rows(projector):
     return pairs, [pair_index(o, d, n) for o, d in pairs]
 
 
-def test_dual_projection_matches_primal_dykstra(sioux_falls):
-    # the dual iteration produces Dykstra's iterates: same points up to
-    # rounding, hence the same freeze decisions
+def _noisy_policies(sioux_falls):
+    # a noisy Sioux Falls policy and a noisy random 7-node one
     rng = np.random.default_rng(4)
     sioux = sioux_falls.network
     random_net = make_random_network(rng, 7)
     sioux_x = initial_shortest_path_policy(sioux)
     random_x = random_policy(random_net, rng)
-    inputs = [
+    return [
         (sioux, sioux_x + rng.normal(scale=1e-2, size=sioux_x.shape)),
         (random_net, random_x + rng.normal(scale=0.3, size=random_x.shape)),
     ]
+
+
+def _assert_reduced_residuals_within(out, pairs, network, tol):
+    # the stopping rule's residual: the equations of all nodes but the last
+    n = network.node_count
+    A = network.incidence_matrix()[: n - 1]
+    for od, block in zip(pairs, out):
+        assert np.max(np.abs(A @ block - conservation_rhs(od, n)[: n - 1])) <= tol
+
+
+def test_dual_projection_matches_primal_dykstra(sioux_falls, monkeypatch):
+    # the plain dual iteration produces Dykstra's iterates: same points up to
+    # rounding, hence the same freeze decisions
+    monkeypatch.setattr(flow_polytope, "_MOMENTUM_AFTER", flow_polytope._MAX_DYKSTRA_ITERS)
     tol = 1e-8
-    for network, x in inputs:
+    for network, x in _noisy_policies(sioux_falls):
         projector = FlowProjector(network)
         pairs, rows = _routable_rows(projector)
         out = projector.project_rows(x[rows], pairs, tol=tol)
         reference = dykstra_reference(x[rows], pairs, network, tol)
         assert np.max(np.abs(out - reference)) <= 1e-12
-        # the stopping rule's residual: the equations of all nodes but the last
-        n = network.node_count
-        A = network.incidence_matrix()[: n - 1]
-        for od, block in zip(pairs, out):
-            assert np.max(np.abs(A @ block - conservation_rhs(od, n)[: n - 1])) <= tol
+        _assert_reduced_residuals_within(out, pairs, network, tol)
+
+
+def test_momentum_projection_closer_than_plain_dykstra(sioux_falls, monkeypatch):
+    # both outputs are exact projections for the right-hand side they reach;
+    # the momentum phase ends nearer the true projection at the same tol
+    tol = 1e-8
+    for network, x in _noisy_policies(sioux_falls):
+        projector = FlowProjector(network)
+        pairs, rows = _routable_rows(projector)
+        out = projector.project_rows(x[rows], pairs, tol=tol)
+        exact = projector.project_rows(x[rows], pairs, tol=1e-13)
+        reference = dykstra_reference(x[rows], pairs, network, tol)
+        assert np.max(np.abs(out - exact)) <= np.max(np.abs(reference - exact))
+        _assert_reduced_residuals_within(out, pairs, network, tol)
+        with monkeypatch.context() as plain:
+            plain.setattr(flow_polytope, "_MOMENTUM_AFTER", flow_polytope._MAX_DYKSTRA_ITERS)
+            assert not np.array_equal(out, projector.project_rows(x[rows], pairs, tol=tol))
 
 
 def _noisy_sioux_rows(sioux_falls):
@@ -161,9 +187,12 @@ def test_chunked_projection_matches_reference(sioux_falls, monkeypatch):
     # 552 rows in chunks of 100: five full chunks and a short one
     monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * V.shape[1] * V.itemsize)
     chunked = projector.project_rows(V, pairs, tol=tol)
-    reference = dykstra_reference(V, pairs, projector.network, tol)
-    assert np.max(np.abs(chunked - reference)) <= 1e-12
+    # momentum is kept per row, so chunking moves no row
     assert np.max(np.abs(chunked - whole)) <= 1e-15
+    monkeypatch.setattr(flow_polytope, "_MOMENTUM_AFTER", flow_polytope._MAX_DYKSTRA_ITERS)
+    plain = projector.project_rows(V, pairs, tol=tol)
+    reference = dykstra_reference(V, pairs, projector.network, tol)
+    assert np.max(np.abs(plain - reference)) <= 1e-12
 
 
 def test_convergence_error_aggregates_chunks(diamond4, monkeypatch):
@@ -186,6 +215,24 @@ def test_convergence_error_aggregates_chunks(diamond4, monkeypatch):
         assert err.iterations == 2
         assert err.unconverged == len(stuck)
         assert err.pairs == tuple((o + 1, d + 1) for o, d in stuck[:5])
+    assert chunked.value.residual == pytest.approx(whole.value.residual, rel=1e-12)
+
+
+def test_momentum_convergence_error_aggregates_chunks(sioux_falls, monkeypatch):
+    # momentum from the second iteration, and a cap at which about a third
+    # of the rows, spread over every chunk, are still active
+    monkeypatch.setattr(flow_polytope, "_MOMENTUM_AFTER", 1)
+    monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 40)
+    projector, pairs, V = _noisy_sioux_rows(sioux_falls)
+    with pytest.raises(ProjectionConvergenceError) as whole:
+        projector.project_rows(V, pairs, tol=1e-8)
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * V.shape[1] * V.itemsize)
+    with pytest.raises(ProjectionConvergenceError) as chunked:
+        projector.project_rows(V, pairs, tol=1e-8)
+    assert 0 < whole.value.unconverged < len(pairs)
+    assert chunked.value.iterations == whole.value.iterations == 40
+    assert chunked.value.unconverged == whole.value.unconverged
+    assert chunked.value.pairs == whole.value.pairs
     assert chunked.value.residual == pytest.approx(whole.value.residual, rel=1e-12)
 
 
