@@ -11,14 +11,12 @@ from .net_model import (
     Network,
     TNTPFormatError,
     affine_latency_from,
-    network_to_tntp,
     parse_tntp_network,
     parse_tntp_trips,
 )
 from .demand import (
     DemandDataset,
     average_demand,
-    is_adjacent,
     lambda_max,
     make_adjacent,
     sample_dataset,
@@ -31,7 +29,6 @@ from .flow_polytope import (
     decompose_flow,
     initial_shortest_path_policy,
     pair_index,
-    project_policy,
     project_unit_flow,
     shortest_path_flow,
 )
@@ -39,8 +36,6 @@ from .objective import (
     ModelConstants,
     compute_constants,
     demand_weight_top_eigenvalue,
-    empirical_cost,
-    experimental_constants,
     gradient,
     regularized_cost,
     total_edge_flow,
@@ -79,12 +74,10 @@ __all__ = [
     "Network",
     "TNTPFormatError",
     "affine_latency_from",
-    "network_to_tntp",
     "parse_tntp_network",
     "parse_tntp_trips",
     "DemandDataset",
     "average_demand",
-    "is_adjacent",
     "lambda_max",
     "make_adjacent",
     "sample_dataset",
@@ -95,14 +88,11 @@ __all__ = [
     "decompose_flow",
     "initial_shortest_path_policy",
     "pair_index",
-    "project_policy",
     "project_unit_flow",
     "shortest_path_flow",
     "ModelConstants",
     "compute_constants",
     "demand_weight_top_eigenvalue",
-    "empirical_cost",
-    "experimental_constants",
     "gradient",
     "regularized_cost",
     "total_edge_flow",

@@ -189,6 +189,10 @@ def demo_impossibility(network, base_demand, od, period_minutes=60.0):
     """
     base_demand = demand_mod.validate_demand_matrix(base_demand)
     o, d = od
+    n = base_demand.shape[0]
+    if not (0 <= o < n and 0 <= d < n):
+        # a negative id would index from the end and run the demo elsewhere
+        raise ValueError(f"od endpoints ({o + 1}, {d + 1}) must lie in 1..{n}")
     if o == d:
         raise ValueError("od pair must have distinct endpoints")
     for endpoint in (o, d):

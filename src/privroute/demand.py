@@ -9,9 +9,6 @@ request count divided by T.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +60,6 @@ class DemandDataset:
     @property
     def day_count(self):
         return self.matrices.shape[0]
-
-    @property
-    def node_count(self):
-        return self.matrices.shape[1]
 
     def day(self, t):
         """Demand matrix of day t (1-based, matching dataset order)."""
@@ -127,20 +120,6 @@ def make_adjacent(dataset, day, od, direction):
     )
 
 
-def is_adjacent(first, second):
-    """True iff the datasets differ in exactly one entry of one day by at most 1/T."""
-    if first.matrices.shape != second.matrices.shape:
-        raise ValueError("datasets must share (N, n, n) shape")
-    if first.period_minutes != second.period_minutes:
-        raise ValueError("datasets must share the operation-period length")
-    diff = first.matrices - second.matrices
-    changed = np.argwhere(diff != 0)
-    if changed.shape[0] != 1:
-        return False
-    t, o, d = changed[0]
-    return abs(diff[t, o, d]) <= 1.0 / first.period_minutes + 1e-12
-
-
 def lambda_max(dataset):
     """Largest arrival rate over all days and pairs."""
     return float(np.max(dataset.matrices))
@@ -150,42 +129,3 @@ def average_demand(dataset):
     """Entrywise mean of the dataset's daily matrices."""
     return dataset.matrices.mean(axis=0)
 
-
-def dataset_to_csv(dataset):
-    """Serialize to (csv_text, metadata_json_text).
-
-    CSV columns: day, origin, destination, rate (1-based ids, zero rates
-    omitted). The sidecar metadata records n, N, T, and the seed.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["day", "origin", "destination", "rate"])
-    for t in range(dataset.day_count):
-        for o, d in zip(*np.nonzero(dataset.matrices[t])):
-            writer.writerow(
-                [t + 1, int(o) + 1, int(d) + 1, "%.17g" % dataset.matrices[t, o, d]]
-            )
-    meta = json.dumps(
-        {
-            "n": dataset.node_count,
-            "N": dataset.day_count,
-            "T": dataset.period_minutes,
-            "seed": dataset.seed,
-        },
-        indent=2,
-        sort_keys=True,
-    )
-    return buf.getvalue(), meta
-
-
-def dataset_from_csv(csv_text, metadata_json_text):
-    meta = json.loads(metadata_json_text)
-    matrices = np.zeros((meta["N"], meta["n"], meta["n"]))
-    reader = csv.DictReader(io.StringIO(csv_text))
-    for row in reader:
-        matrices[int(row["day"]) - 1, int(row["origin"]) - 1, int(row["destination"]) - 1] = float(
-            row["rate"]
-        )
-    return DemandDataset(
-        matrices=matrices, period_minutes=float(meta["T"]), seed=meta["seed"]
-    )

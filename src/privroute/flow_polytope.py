@@ -88,21 +88,6 @@ def pair_index(o, d, n):
     return o * n + d
 
 
-def conservation_rhs(od, node_count):
-    """Right-hand side of the unit-flow conservation equations (net inflow)."""
-    o, d = od
-    b = np.zeros(node_count)
-    b[o] -= 1.0
-    b[d] += 1.0
-    return b
-
-
-def conservation_residual(x, od, network):
-    """Infinity norm of the net-inflow error of a block against its unit RHS."""
-    A = network.incidence_matrix()
-    return float(np.max(np.abs(A @ np.asarray(x, dtype=float) - conservation_rhs(od, network.node_count))))
-
-
 def reachability(network):
     """Boolean (n, n) matrix: reach[o, d] iff a directed o -> d path exists."""
     n = network.node_count
@@ -315,16 +300,6 @@ def project_unit_flow(v, od, network, tol=DEFAULT_TOL):
     return FlowProjector(network).project_block(v, od, tol=tol)
 
 
-def project_policy(x, network, tol=DEFAULT_TOL, projector=None):
-    """Euclidean projection of a full policy onto the product polytope.
-
-    Accepts a (n*n, m) array or its flattening; returns shape (n*n, m).
-    """
-    if projector is None:
-        projector = FlowProjector(network)
-    return projector.project_policy(x, tol=tol)
-
-
 def shortest_path_tree(source, edge_costs, network):
     """Deterministic Dijkstra from one source under nonnegative edge costs.
 
@@ -404,16 +379,6 @@ class PathDistribution:
     paths: tuple  # tuples of edge indices
     weights: tuple
     circulation: np.ndarray
-
-    @property
-    def circulation_mass(self):
-        return float(np.sum(self.circulation))
-
-    def reconstruct(self, edge_count):
-        x = self.circulation.copy()
-        for path, w in zip(self.paths, self.weights):
-            x[list(path)] += w
-        return x
 
 
 def _trace_path(residual, od, network):

@@ -37,12 +37,31 @@ from .dp_sgd import (
 )
 from .flow_polytope import FlowProjector, initial_shortest_path_policy, pair_index
 from .net_model import affine_latency_from, parse_tntp_network, parse_tntp_trips
-from .objective import compute_constants, experimental_constants, travel_time_cost
+from .objective import compute_constants, travel_time_cost
 
 BUILTIN_NET = "builtin:sioux_falls_net"
 BUILTIN_TRIPS = "builtin:sioux_falls_trips"
 
-CONVENTIONS = ("closed-form", "mean-eigenvalue")
+_POSITIVE = (lambda v: v > 0, "positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_FRACTION = (lambda v: 0 < v < 1, "in (0, 1)")
+# The rule each field obeys, with the wording of its error. A grid obeys the
+# rule of the scalar field it sweeps; SeedSequence rejects negative seeds.
+_RULES = {
+    **dict.fromkeys(
+        ("period_minutes", "alpha", "alpha_grid", "capacity_scale", "demand_scale",
+         "scale_grid", "epsilon", "epsilon_grid", "gap_tol_rel", "step_tol", "final_tol",
+         "sweep_alpha"),
+        _POSITIVE,
+    ),
+    **dict.fromkeys(
+        ("sensitivity_factor", "factor_grid", "n_days", "n_grid", "max_fw_iters"), _AT_LEAST_ONE
+    ),
+    "delta": _FRACTION,
+    "delta_grid": _FRACTION,
+    "noise_seeds": (lambda v: v >= 0, ">= 0"),
+    "noise_scale_override": (lambda v: v is None or v >= 0, "nonnegative"),
+}
 
 
 @dataclass
@@ -54,7 +73,6 @@ class ExperimentConfig:
     n_days: int = 50
     period_minutes: float = 60.0
     alpha: float = 2e-4
-    convention: str = "closed-form"
     capacity_scale: float = 1.0
     sensitivity_factor: float = 2.0
     demand_scale: float = 1.0
@@ -76,8 +94,6 @@ class ExperimentConfig:
     noise_scale_override: float | None = None  # None = calibrated sigma; 0 disables noise
 
     def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
         for name in ("n_grid", "epsilon_grid", "delta_grid", "alpha_grid", "factor_grid", "scale_grid", "noise_seeds"):
             value = tuple(getattr(self, name))
             if not value:
@@ -89,17 +105,8 @@ class ExperimentConfig:
             # JSON admits NaN and Infinity, which pass every comparison below
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("period_minutes", "alpha", "capacity_scale", "demand_scale", "epsilon", "gap_tol_rel", "step_tol", "final_tol", "sweep_alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.sensitivity_factor < 1:
-            raise ValueError("sensitivity_factor must be >= 1")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.n_days < 1 or self.max_fw_iters < 1:
-            raise ValueError("n_days and max_fw_iters must be >= 1")
-        if self.noise_scale_override is not None and self.noise_scale_override < 0:
-            raise ValueError("noise_scale_override must be nonnegative")
+            if f.name in _RULES and not all(map(_RULES[f.name][0], values)):
+                raise ValueError(f"{f.name} must be {_RULES[f.name][1]}")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -143,13 +150,9 @@ def load_instance(config, sensitivity_factor=None, demand_scale=None):
 
 
 def resolve_constants(config, instance, dataset, alpha=None):
-    """Constants per the configured convention, with the data-driven rate bound."""
+    """Closed-form constants, with the data-driven rate bound."""
     lam = demand_mod.lambda_max(dataset)
     alpha = config.alpha if alpha is None else alpha
-    if config.convention == "mean-eigenvalue":
-        return experimental_constants(
-            demand_mod.average_demand(dataset), instance.latency, lam, alpha, config.period_minutes
-        )
     return compute_constants(
         instance.network, instance.latency, lam, alpha, config.period_minutes
     )
@@ -198,12 +201,15 @@ def _resolved_payload(config, extra=None):
     return payload
 
 
+_POLICY_COLUMNS = ("origin", "destination", "edge_tail", "edge_head", "value")
+
+
 def policy_to_csv(policy, network, path):
     """Policy CSV: origin, destination, edge_tail, edge_head, value (zeros omitted)."""
     n = network.node_count
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["origin", "destination", "edge_tail", "edge_head", "value"])
+        writer.writerow(_POLICY_COLUMNS)
         for block in range(n * n):
             o, d = divmod(block, n)
             for e in np.nonzero(policy[block])[0]:
@@ -219,13 +225,33 @@ def policy_to_csv(policy, network, path):
 
 
 def policy_from_csv(path, network):
+    """Read a policy CSV in the layout of policy_to_csv; a bad row raises
+    ValueError naming its 1-based line."""
     n = network.node_count
     policy = np.zeros((n * n, network.edge_count))
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            block = pair_index(int(row["origin"]) - 1, int(row["destination"]) - 1, n)
-            e = network.edge_index(int(row["edge_tail"]) - 1, int(row["edge_head"]) - 1)
-            policy[block, e] = float(row["value"])
+        reader = csv.DictReader(fh)
+        missing = [c for c in _POLICY_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: line 1: missing columns {missing}")
+        for row in reader:
+            try:
+                o, d = int(row["origin"]), int(row["destination"])
+                tail, head = int(row["edge_tail"]), int(row["edge_head"])
+                value = float(row["value"])
+            except (TypeError, ValueError):  # a short row reads None
+                raise ValueError(f"{path}: line {reader.line_num}: malformed row {row}") from None
+            if not (1 <= o <= n and 1 <= d <= n):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: node id outside 1..{n} in pair ({o}, {d})"
+                )
+            try:
+                e = network.edge_index(tail - 1, head - 1)
+            except KeyError:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: the network has no edge {tail}->{head}"
+                ) from None
+            policy[pair_index(o - 1, d - 1, n), e] = value
     return policy
 
 

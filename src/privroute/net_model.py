@@ -40,7 +40,6 @@ class Network:
     capacity: np.ndarray
     _edge_index: dict = field(repr=False, default_factory=dict)
     _out_edges: list = field(repr=False, default_factory=list)
-    _in_edges: list = field(repr=False, default_factory=list)
 
     def __post_init__(self):
         n = self.node_count
@@ -66,16 +65,13 @@ class Network:
             raise ValueError("capacities must be positive")
         index = {}
         out_edges = [[] for _ in range(n)]
-        in_edges = [[] for _ in range(n)]
         for e, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
             if (u, v) in index:
                 raise ValueError(f"duplicate edge {u + 1}->{v + 1}")
             index[(u, v)] = e
             out_edges[u].append(e)
-            in_edges[v].append(e)
         object.__setattr__(self, "_edge_index", index)
         object.__setattr__(self, "_out_edges", out_edges)
-        object.__setattr__(self, "_in_edges", in_edges)
 
     @property
     def edge_count(self):
@@ -86,9 +82,6 @@ class Network:
 
     def out_edges(self, node):
         return self._out_edges[node]
-
-    def in_edges(self, node):
-        return self._in_edges[node]
 
     def with_capacity(self, capacity):
         """Copy of the network with a replaced capacity vector."""
@@ -128,9 +121,6 @@ class LatencyModel:
     def max_slope(self):
         """Operator norm of the diagonal slope matrix."""
         return float(np.max(self.slope)) if self.slope.size else 0.0
-
-    def travel_time(self, edge_flow):
-        return self.slope * edge_flow + self.free_flow
 
 
 def _metadata_value(line, tag, line_no):
@@ -219,28 +209,6 @@ def parse_tntp_network(text):
         free_flow_time=np.array([r[3] for r in rows]),
         capacity=np.array([r[2] for r in rows]),
     )
-
-
-def network_to_tntp(network):
-    """Serialize a Network back to TNTP net-format text (1-based node ids)."""
-    lines = [
-        f"<NUMBER OF NODES> {network.node_count}",
-        f"<NUMBER OF LINKS> {network.edge_count}",
-        "<END OF METADATA>",
-        "",
-        "~ init_node term_node capacity length free_flow_time b power speed toll type ;",
-    ]
-    for e in range(network.edge_count):
-        lines.append(
-            "\t{}\t{}\t{:.17g}\t{:.17g}\t{:.17g}\t0\t0\t0\t0\t1\t;".format(
-                int(network.tails[e]) + 1,
-                int(network.heads[e]) + 1,
-                float(network.capacity[e]),
-                float(network.free_flow_time[e]),
-                float(network.free_flow_time[e]),
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def parse_tntp_trips(text):

@@ -27,8 +27,6 @@ class ModelConstants:
             one demand entry (the noise-calibration constant).
         gradient_bound: bound on the gradient norm over the feasible set.
         period_minutes: operation-period length T.
-        convention: how beta / cross_sensitivity were derived
-            ("closed-form" or "mean-eigenvalue").
     """
 
     lambda_max: float
@@ -37,7 +35,6 @@ class ModelConstants:
     cross_sensitivity: float
     gradient_bound: float
     period_minutes: float
-    convention: str = "closed-form"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -99,19 +96,10 @@ def gradient(x, demand, latency, alpha):
     return edge_costs_and_gradient(x, demand, latency, alpha)[1]
 
 
-def empirical_cost(x, dataset, latency, alpha):
-    """Average regularized cost over the days of a dataset."""
-    total = 0.0
-    for t in range(dataset.day_count):
-        total += regularized_cost(x, dataset.matrices[t], latency, alpha)
-    return total / dataset.day_count
-
-
 def demand_weight_top_eigenvalue(demand, latency):
     """Largest eigenvalue of the demand-weighted quadratic form.
 
-    By the Kronecker structure this is ||vec(L)||^2 * max_e slope[e]; it is
-    the smoothness value used by the experimental constants convention.
+    By the Kronecker structure this is ||vec(L)||^2 * max_e slope[e].
     """
     v = np.asarray(demand, dtype=float).reshape(-1)
     return float(v @ v) * latency.max_slope
@@ -146,25 +134,5 @@ def compute_constants(network, latency, lam_max, alpha, period_minutes):
         cross_sensitivity=float(cross),
         gradient_bound=float(grad_bound),
         period_minutes=float(period_minutes),
-        convention="closed-form",
     )
 
-
-def experimental_constants(demand, latency, lam_max, alpha, period_minutes):
-    """Constants in the experiments' convention: smoothness and cross bound
-    both set to the top eigenvalue of the demand-weighted quadratic at the
-    given (typically mean) demand. The gradient bound is not used by this
-    convention and is reported as 0.
-    """
-    eig = demand_weight_top_eigenvalue(demand, latency)
-    if eig <= 0:
-        raise ValueError("experimental convention needs congestion and demand")
-    return ModelConstants(
-        lambda_max=float(lam_max),
-        alpha=float(alpha),
-        beta=float(max(eig, alpha)),
-        cross_sensitivity=float(eig),
-        gradient_bound=0.0,
-        period_minutes=float(period_minutes),
-        convention="mean-eigenvalue",
-    )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from privroute.net_model import LatencyModel, Network
-from privroute.flow_polytope import conservation_rhs, pair_index, reachability
+from privroute.flow_polytope import pair_index, reachability
 
 
 @pytest.fixture
@@ -78,6 +78,68 @@ def sioux_falls():
     from privroute.harness import ExperimentConfig, load_instance
 
     return load_instance(ExperimentConfig())
+
+
+def network_to_tntp(network):
+    """TNTP net-format text of a Network (1-based node ids): the parser's
+    round-trip partner."""
+    lines = [
+        f"<NUMBER OF NODES> {network.node_count}",
+        f"<NUMBER OF LINKS> {network.edge_count}",
+        "<END OF METADATA>",
+        "",
+        "~ init_node term_node capacity length free_flow_time b power speed toll type ;",
+    ]
+    for e in range(network.edge_count):
+        lines.append(
+            "\t{}\t{}\t{:.17g}\t{:.17g}\t{:.17g}\t0\t0\t0\t0\t1\t;".format(
+                int(network.tails[e]) + 1,
+                int(network.heads[e]) + 1,
+                float(network.capacity[e]),
+                float(network.free_flow_time[e]),
+                float(network.free_flow_time[e]),
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def is_adjacent(first, second):
+    """True iff two datasets of one shape and period differ in exactly one
+    entry of one day, by at most 1/T (one request)."""
+    assert first.matrices.shape == second.matrices.shape
+    assert first.period_minutes == second.period_minutes
+    diff = first.matrices - second.matrices
+    changed = np.argwhere(diff != 0)
+    if changed.shape[0] != 1:
+        return False
+    t, o, d = changed[0]
+    return abs(diff[t, o, d]) <= 1.0 / first.period_minutes + 1e-12
+
+
+def conservation_rhs(od, node_count):
+    """Right-hand side of the unit-flow conservation equations (net inflow)."""
+    o, d = od
+    b = np.zeros(node_count)
+    b[o] -= 1.0
+    b[d] += 1.0
+    return b
+
+
+def conservation_residual(x, od, network):
+    """Infinity norm of a block's net-inflow error against its unit
+    right-hand side, over all n nodes."""
+    A = network.incidence_matrix()
+    b = conservation_rhs(od, network.node_count)
+    return float(np.max(np.abs(A @ np.asarray(x, dtype=float) - b)))
+
+
+def reconstruct(distribution):
+    """The edge flow a PathDistribution stands for: its weighted paths plus
+    its circulation."""
+    x = distribution.circulation.copy()
+    for path, w in zip(distribution.paths, distribution.weights):
+        x[list(path)] += w
+    return x
 
 
 def make_random_network(rng, n, extra_edges=3):

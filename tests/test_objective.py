@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from privroute.demand import DemandDataset
 from privroute.net_model import LatencyModel
 from privroute.objective import (
     ModelConstants,
     compute_constants,
     demand_weight_top_eigenvalue,
-    empirical_cost,
-    experimental_constants,
     gradient,
     regularized_cost,
     total_edge_flow,
@@ -221,28 +218,6 @@ def test_cross_derivative_bounded(diamond4):
             g1 = gradient(x, bumped, lat, alpha=1.0)
             rate = np.linalg.norm(g1 - g0) / delta
             assert rate <= consts.cross_sensitivity
-
-
-def test_empirical_cost(triangle, triangle_latency):
-    demand = single_block_demand(3, 0, 2, 1.5)
-    x = np.zeros((9, 3))
-    x[pair_index(0, 2, 3)] = [0.5, 0.5, 0.5]
-    single = DemandDataset(matrices=demand[None], period_minutes=60.0)
-    assert empirical_cost(x, single, triangle_latency, 0.5) == pytest.approx(
-        regularized_cost(x, demand, triangle_latency, 0.5)
-    )
-    repeated = DemandDataset(matrices=np.repeat(demand[None], 4, axis=0), period_minutes=60.0)
-    assert empirical_cost(x, repeated, triangle_latency, 0.5) == pytest.approx(
-        regularized_cost(x, demand, triangle_latency, 0.5)
-    )
-
-
-def test_experimental_constants(triangle_latency):
-    demand = single_block_demand(3, 0, 2, 2.0)
-    consts = experimental_constants(demand, triangle_latency, lam_max=2.0, alpha=0.5, period_minutes=60.0)
-    assert consts.convention == "mean-eigenvalue"
-    assert consts.beta == pytest.approx(4.0)  # ||vec||^2 * max q = 4
-    assert consts.cross_sensitivity == pytest.approx(4.0)
 
 
 def test_model_constants_validation():
