@@ -61,12 +61,14 @@ def frank_wolfe_solve(
     slope = latency.slope
 
     X = initial_shortest_path_policy(network) if x0 is None else x0
-    for block in positive:
-        o, d = divmod(int(block), n)
-        if not np.any(X[block]):
-            raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
-    reach = reachability(network)
-    routable = [(o, d) for o in range(n) for d in range(n) if o != d and reach[o, d]]
+    unserved = positive[~X.any(axis=1)[positive]]
+    if unserved.size:
+        o, d = divmod(int(unserved[0]), n)
+        raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
+    routable = None  # the all-or-nothing step at alpha = 0 needs no pair list
+    if alpha != 0.0:
+        reach = reachability(network)
+        routable = [(o, d) for o in range(n) for d in range(n) if o != d and reach[o, d]]
 
     trace = []
     for j in range(max_iters):

@@ -300,43 +300,76 @@ def project_unit_flow(v, od, network, tol=DEFAULT_TOL):
     return FlowProjector(network).project_block(v, od, tol=tol)
 
 
+def _tree_path(v, pred_edge, tails):
+    # edge sequence of the tree path to v, read back along its predecessors
+    path = []
+    while pred_edge[v] >= 0:
+        path.append(pred_edge[v])
+        v = tails[pred_edge[v]]
+    return path[::-1]
+
+
+def _dijkstra(source, costs, network):
+    # shortest_path_tree on Python lists: distances and predecessor edges
+    n, heads, tails = network.node_count, network.heads.tolist(), network.tails.tolist()
+    dist, pred_edge, done = [math.inf] * n, [-1] * n, [False] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d_u, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        if heap and heap[0][0] == d_u:
+            # nodes waiting at one distance settle in the order of their
+            # paths, as from a heap keyed on (distance, path)
+            tied = {u}
+            while heap and heap[0][0] == d_u:
+                tied.add(heapq.heappop(heap)[1])
+            tied = [v for v in tied if not done[v]]
+            u = min(tied, key=lambda v: _tree_path(v, pred_edge, tails))
+            for v in tied:
+                if v != u:
+                    heapq.heappush(heap, (d_u, v))
+        done[u] = True
+        path_u = None
+        for e in network.out_edges(u):
+            v = heads[e]
+            if done[v]:
+                continue
+            cand = d_u + costs[e]
+            if cand == dist[v] and pred_edge[v] >= 0:
+                # exact tie with a reached node: the smaller sequence wins
+                if path_u is None:
+                    path_u = _tree_path(u, pred_edge, tails)
+                if path_u + [e] >= _tree_path(v, pred_edge, tails):
+                    continue
+            elif not cand <= dist[v]:  # also a NaN cost; inf reaches inf
+                continue
+            dist[v] = cand
+            pred_edge[v] = e
+            heapq.heappush(heap, (cand, v))
+    return dist, pred_edge
+
+
+def _checked_costs(edge_costs):
+    edge_costs = np.asarray(edge_costs, dtype=float)
+    if np.any(edge_costs < 0):
+        raise ValueError("edge costs must be nonnegative")
+    return edge_costs.tolist()
+
+
 def shortest_path_tree(source, edge_costs, network):
     """Deterministic Dijkstra from one source under nonnegative edge costs.
 
     Ties in path cost are broken by the lexicographically smallest edge-index
-    sequence. Returns (distances, predecessor edge per node, path sequences),
-    with unreachable nodes carrying distance inf and sequence None.
+    sequence; the sequences are rebuilt from the predecessor edges only when
+    two costs tie exactly. Returns (distances, predecessor edge per node):
+    the tree path to v is the path to the tail of pred_edge[v] followed by
+    that edge. Nodes without a finite-cost path carry distance inf; the
+    source and nodes no edge reaches carry predecessor -1.
     """
-    edge_costs = np.asarray(edge_costs, dtype=float)
-    if np.any(edge_costs < 0):
-        raise ValueError("edge costs must be nonnegative")
-    n = network.node_count
-    dist = np.full(n, np.inf)
-    pred_edge = np.full(n, -1, dtype=np.intp)
-    sequences = [None] * n
-    done = np.zeros(n, dtype=bool)
-    heap = [(0.0, (), source)]
-    dist[source] = 0.0
-    sequences[source] = ()
-    while heap:
-        d_u, seq_u, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        dist[u] = d_u
-        sequences[u] = seq_u
-        for e in network.out_edges(u):
-            v = network.heads[e]
-            if done[v]:
-                continue
-            cand = d_u + edge_costs[e]
-            seq_v = seq_u + (e,)
-            if cand < dist[v] or (cand == dist[v] and (sequences[v] is None or seq_v < sequences[v])):
-                dist[v] = cand
-                sequences[v] = seq_v
-                pred_edge[v] = e
-                heapq.heappush(heap, (cand, seq_v, v))
-    return dist, pred_edge, sequences
+    dist, pred_edge = _dijkstra(source, _checked_costs(edge_costs), network)
+    return np.array(dist), np.array(pred_edge, dtype=np.intp)
 
 
 def shortest_path_flow(od, edge_costs, network):
@@ -344,11 +377,13 @@ def shortest_path_flow(od, edge_costs, network):
     o, d = od
     if o == d:
         raise ValueError("od pair must have distinct endpoints")
-    dist, _, sequences = shortest_path_tree(o, edge_costs, network)
+    dist, pred_edge = shortest_path_tree(o, edge_costs, network)
     if not np.isfinite(dist[d]):
         raise UnreachablePairError(f"no path from {o + 1} to {d + 1}")
     flow = np.zeros(network.edge_count)
-    flow[list(sequences[d])] = 1.0
+    while d != o:
+        flow[pred_edge[d]] = 1.0
+        d = network.tails[pred_edge[d]]
     return flow
 
 
@@ -356,18 +391,27 @@ def initial_shortest_path_policy(network, edge_costs=None):
     """All-or-nothing policy: every od block on its cheapest path.
 
     Defaults to free-flow times as costs. Diagonal blocks stay zero, as do
-    blocks of unreachable pairs (matching the projector's convention).
+    blocks of unreachable pairs (matching the projector's convention). The
+    policy is built from the n trees' predecessor arrays: all reachable
+    pairs walk back from their destinations together, one edge per pair
+    and step, until each reaches its origin.
     """
     if edge_costs is None:
         edge_costs = network.free_flow_time
     n = network.node_count
+    costs = _checked_costs(edge_costs)
+    trees = [_dijkstra(o, costs, network) for o in range(n)]
+    dist = np.array([tree[0] for tree in trees])
+    pred_edge = np.array([tree[1] for tree in trees], dtype=np.intp)
+    o, cur = np.nonzero(np.isfinite(dist) & ~np.eye(n, dtype=bool))  # row-major
+    rows = pair_index(o, cur, n)
     policy = np.zeros((n * n, network.edge_count))
-    for o in range(n):
-        dist, _, sequences = shortest_path_tree(o, edge_costs, network)
-        for d in range(n):
-            if d == o or not np.isfinite(dist[d]):
-                continue
-            policy[pair_index(o, d, n), list(sequences[d])] = 1.0
+    while rows.size:
+        e = pred_edge[o, cur]
+        policy[rows, e] = 1.0
+        cur = network.tails[e]
+        more = cur != o
+        rows, o, cur = rows[more], o[more], cur[more]
     return policy
 
 

@@ -225,8 +225,8 @@ def policy_to_csv(policy, network, path):
 
 
 def policy_from_csv(path, network):
-    """Read a policy CSV in the layout of policy_to_csv; a bad row raises
-    ValueError naming its 1-based line."""
+    """Read a policy CSV in the layout of policy_to_csv; a bad row, such as
+    one with a non-finite value, raises ValueError naming its 1-based line."""
     n = network.node_count
     policy = np.zeros((n * n, network.edge_count))
     with open(path, newline="") as fh:
@@ -241,6 +241,8 @@ def policy_from_csv(path, network):
                 value = float(row["value"])
             except (TypeError, ValueError):  # a short row reads None
                 raise ValueError(f"{path}: line {reader.line_num}: malformed row {row}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {reader.line_num}: non-finite value {row['value']!r}")
             if not (1 <= o <= n and 1 <= d <= n):
                 raise ValueError(
                     f"{path}: line {reader.line_num}: node id outside 1..{n} in pair ({o}, {d})"

@@ -2,6 +2,7 @@
 independent brute-force oracles used to cross-check the numerical code."""
 from __future__ import annotations
 
+import heapq
 from itertools import product
 
 import numpy as np
@@ -204,6 +205,57 @@ def random_policy(network, rng, max_paths=4):
         for d in range(n):
             if o != d and reach[o, d]:
                 policy[pair_index(o, d, n)] = random_unit_flow(network, (o, d), rng, max_paths)
+    return policy
+
+
+def tuple_shortest_path_tree(source, edge_costs, network):
+    """Dijkstra that carries every tentative path as a tuple of edge indices
+    and breaks cost ties by comparing those tuples: the reference for the
+    predecessor-array form. Returns (distances, predecessor edge per node,
+    path sequences), unreachable nodes carrying inf and None."""
+    edge_costs = np.asarray(edge_costs, dtype=float)
+    if np.any(edge_costs < 0):
+        raise ValueError("edge costs must be nonnegative")
+    n = network.node_count
+    dist = np.full(n, np.inf)
+    pred_edge = np.full(n, -1, dtype=np.intp)
+    sequences = [None] * n
+    done = np.zeros(n, dtype=bool)
+    heap = [(0.0, (), source)]
+    dist[source] = 0.0
+    sequences[source] = ()
+    while heap:
+        d_u, seq_u, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        dist[u] = d_u
+        sequences[u] = seq_u
+        for e in network.out_edges(u):
+            v = network.heads[e]
+            if done[v]:
+                continue
+            cand = d_u + edge_costs[e]
+            seq_v = seq_u + (e,)
+            if cand < dist[v] or (cand == dist[v] and (sequences[v] is None or seq_v < sequences[v])):
+                dist[v] = cand
+                sequences[v] = seq_v
+                pred_edge[v] = e
+                heapq.heappush(heap, (cand, seq_v, v))
+    return dist, pred_edge, sequences
+
+
+def tuple_shortest_path_policy(network, edge_costs):
+    """All-or-nothing policy written pair by pair from the tuple paths of
+    tuple_shortest_path_tree."""
+    n = network.node_count
+    policy = np.zeros((n * n, network.edge_count))
+    for o in range(n):
+        dist, _, sequences = tuple_shortest_path_tree(o, edge_costs, network)
+        for d in range(n):
+            if d == o or not np.isfinite(dist[d]):
+                continue
+            policy[pair_index(o, d, n), list(sequences[d])] = 1.0
     return policy
 
 

@@ -85,6 +85,17 @@ def test_frank_wolfe_unreachable_demand(triangle, triangle_latency):
         frank_wolfe_solve(demand, triangle, triangle_latency, alpha=0.0, gap_tol=1e-6)
 
 
+def test_frank_wolfe_names_first_unserved_pair(triangle, triangle_latency):
+    # nodes 2 and 3 reach no earlier node; the first unserved pair in
+    # row-major order is (2, 1), ahead of (3, 1), whatever the demand sizes
+    demand = np.zeros((3, 3))
+    demand[0, 2] = 1.0
+    demand[2, 0] = 5.0
+    demand[1, 0] = 0.5
+    with pytest.raises(UnreachablePairError, match=r"^no path serves demanded pair \(2, 1\)$"):
+        frank_wolfe_solve(demand, triangle, triangle_latency, alpha=0.0, gap_tol=1e-6)
+
+
 def test_standard_feasible_flow_triangle(triangle):
     demand = triangle_demand(1.0 / 60.0)
     flows = standard_feasible_flow(demand, triangle)

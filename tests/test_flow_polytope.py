@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,11 @@ from privroute.flow_polytope import (
     pair_index,
     project_unit_flow,
     shortest_path_flow,
+    shortest_path_tree,
 )
+from privroute.baseline import frank_wolfe_solve
+from privroute.net_model import Network
+from privroute.objective import edge_costs_and_gradient
 from conftest import (
     conservation_residual,
     conservation_rhs,
@@ -22,6 +28,8 @@ from conftest import (
     random_policy,
     random_unit_flow,
     reconstruct,
+    tuple_shortest_path_policy,
+    tuple_shortest_path_tree,
 )
 
 
@@ -366,6 +374,86 @@ def test_initial_shortest_path_policy(triangle):
     assert np.array_equal(x[pair_index(0, 2, 3)], [1.0, 1.0, 0.0])  # cost 2 beats 3
     assert np.all(x[pair_index(2, 0, 3)] == 0)  # unreachable stays zero
     assert np.all(x[pair_index(0, 0, 3)] == 0)
+
+
+def assert_matches_tuple_dijkstra(network, costs):
+    """Trees, pair flows and the all-or-nothing policy are bitwise those of
+    the tuple-sequence reference, from every source."""
+    n, m = network.node_count, network.edge_count
+    policy = initial_shortest_path_policy(network, costs)
+    assert np.array_equal(policy, tuple_shortest_path_policy(network, costs))
+    for o in range(n):
+        dist, pred_edge = shortest_path_tree(o, costs, network)
+        ref_dist, ref_pred, sequences = tuple_shortest_path_tree(o, costs, network)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(pred_edge, ref_pred)
+        for d in range(n):
+            if d != o and np.isfinite(ref_dist[d]):
+                expected = np.zeros(m)
+                expected[list(sequences[d])] = 1.0
+                assert np.array_equal(shortest_path_flow((o, d), costs, network), expected)
+
+
+def integer_grid(k, rng):
+    """k x k bidirectional grid with integer costs 1..3, so that many paths
+    tie exactly."""
+    edges = []
+    for u in range(k * k):
+        r, c = divmod(u, k)
+        for v in ([u + 1] if c + 1 < k else []) + ([u + k] if r + 1 < k else []):
+            edges += [(u, v), (v, u)]
+    order = rng.permutation(len(edges))  # edge indices unrelated to node order
+    edges = [edges[i] for i in order]
+    return Network(
+        node_count=k * k,
+        tails=[e[0] for e in edges],
+        heads=[e[1] for e in edges],
+        free_flow_time=rng.integers(1, 4, len(edges)).astype(float),
+        capacity=np.ones(len(edges)),
+    )
+
+
+def test_shortest_paths_match_tuple_reference_on_sioux_falls(sioux_falls):
+    # free-flow times, then the marginal costs 2 Q y + c of the first five
+    # Frank-Wolfe iterates
+    network, latency = sioux_falls.network, sioux_falls.latency
+    assert_matches_tuple_dijkstra(network, network.free_flow_time)
+    for iterations in range(5):
+        X, _ = frank_wolfe_solve(
+            sioux_falls.mean_demand, network, latency, gap_tol=1e-12, max_iters=iterations
+        )
+        costs, _ = edge_costs_and_gradient(X, sioux_falls.mean_demand, latency, 0.0)
+        assert_matches_tuple_dijkstra(network, costs)
+
+
+def test_shortest_paths_match_tuple_reference_on_random_networks():
+    rng = np.random.default_rng(11)
+    net = make_random_network(rng, 9, extra_edges=8)
+    assert_matches_tuple_dijkstra(net, net.free_flow_time)
+    for _ in range(20):
+        grid = integer_grid(int(rng.integers(2, 6)), rng)
+        assert_matches_tuple_dijkstra(grid, grid.free_flow_time)
+
+
+def test_shortest_paths_zero_cost_edge_settles_smaller_path_first():
+    # nodes 1 and 2 both sit at distance 1 from node 0; the zero-cost edge
+    # 2 -> 1 gives node 1 the path (e0, e2), smaller than (e1,), only if node
+    # 2 is settled first although its index is larger
+    net = Network(
+        node_count=3, tails=[0, 0, 2], heads=[2, 1, 1],
+        free_flow_time=[1.0, 1.0, 0.0], capacity=[1.0, 1.0, 1.0],
+    )
+    costs = net.free_flow_time
+    assert np.array_equal(shortest_path_flow((0, 1), costs, net), [1.0, 0.0, 1.0])
+    assert_matches_tuple_dijkstra(net, costs)
+
+
+def test_initial_policy_digest_on_sioux_falls(sioux_falls):
+    # pins x0 bit for bit: a change to the shortest-path code that moves it
+    # must show here and be recorded
+    x0 = initial_shortest_path_policy(sioux_falls.network)
+    digest = hashlib.sha256(x0.astype("<f8").tobytes()).hexdigest()
+    assert digest == "5e07b139c048a12264a5fec4d5155a6a3a0d293e3ff762ca0ba19edb430cf0ff"
 
 
 def test_conservation_rhs(triangle):

@@ -338,6 +338,20 @@ def test_cli_decompose_rejects_bad_policy(tiny_config, tmp_path, capsys, text, w
     assert f"{policy}: {where}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_decompose_rejects_non_finite_value(tiny_config, tmp_path, capsys, value):
+    # a NaN entry is truthy to np.any, so it was counted as a block while no
+    # path could be traced through it
+    cfg = write_config(tmp_path, tiny_config)
+    policy = tmp_path / "policy.csv"
+    policy.write_text(HEADER + f"1,4,1,2,1\n1,4,2,4,{value}\n")
+    out = tmp_path / "dec"
+    argv = ["decompose", "--config", cfg, "--policy", str(policy), "--out-dir", str(out)]
+    assert cli_main(argv) == 1
+    assert f"{policy}: line 3: non-finite value" in capsys.readouterr().err
+    assert not (out / "path_distributions.csv").exists()
+
+
 def test_cli_rejects_bad_input(tiny_config, tmp_path):
     assert cli_main(["no-such-command"]) == 1
     bad_cfg = tmp_path / "bad.json"
