@@ -12,18 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import demand as demand_mod
 from .audit import SensitivityAuditConfig, audit_sensitivity, demo_impossibility
 from .dp_sgd import PrivacyParams, private_sgd
-from .flow_polytope import (
-    FlowProjector,
-    ProjectionConvergenceError,
-    decompose_flow,
-    initial_shortest_path_policy,
-)
+from .flow_polytope import ProjectionConvergenceError, decompose_flow
 from .harness import (
     ExperimentConfig,
+    Pipeline,
     load_instance,
+    output_dir,
     paths_to_csv,
     policy_from_csv,
     policy_to_csv,
@@ -31,7 +27,6 @@ from .harness import (
     run_convergence,
     run_privacy_cost,
     run_sensitivity_sweep,
-    solve_baseline,
     write_csv,
     write_metadata,
 )
@@ -50,29 +45,25 @@ def _load_config(args):
 
 def _cmd_solve_private(args):
     config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    instance = load_instance(config)
-    dataset = demand_mod.sample_dataset(
-        instance.mean_demand, config.n_days, config.period_minutes, seed=config.dataset_seed
-    )
-    constants = resolve_constants(config, instance, dataset)
-    projector = FlowProjector(instance.network)
+    out_dir = output_dir(args.out_dir)
+    pipeline = Pipeline(config)
+    network, latency = pipeline.instance.network, pipeline.instance.latency
+    dataset, avg = pipeline.sample()
     solution = private_sgd(
         dataset,
-        instance.network,
-        instance.latency,
-        constants,
+        network,
+        latency,
+        resolve_constants(config, pipeline.instance, dataset),
         PrivacyParams(config.epsilon, config.delta),
-        initial_shortest_path_policy(instance.network),
+        pipeline.x0,
         seed=config.noise_seeds[0],
-        projector=projector,
+        projector=pipeline.projector,
         step_tol=config.step_tol,
         final_tol=config.final_tol,
-        trace_demand=demand_mod.average_demand(dataset),
+        trace_demand=avg,
         noise_scale=config.noise_scale_override,
     )
-    policy_to_csv(solution.x_alg, instance.network, out_dir / "policy.csv")
+    policy_to_csv(solution.x_alg, network, out_dir / "policy.csv")
     write_csv(
         out_dir / "cost_trace.csv",
         ["iteration", "regularized_cost", "travel_time"],
@@ -81,15 +72,13 @@ def _cmd_solve_private(args):
     write_metadata(
         out_dir,
         "solve_private",
-        {
-            "config": json.loads(config.to_json()),
-            "sigma": solution.sigma,
-            "noise_seed": solution.seed,
-            "epsilon": config.epsilon,
-            "delta": config.delta,
-            "constants": vars(solution.constants),
-            "tolerances": {"step": config.step_tol, "final": config.final_tol},
-        },
+        config,
+        sigma=solution.sigma,
+        noise_seed=solution.seed,
+        epsilon=config.epsilon,
+        delta=config.delta,
+        constants=vars(solution.constants),
+        tolerances={"step": config.step_tol, "final": config.final_tol},
     )
     print(f"private policy written to {out_dir / 'policy.csv'} (sigma={solution.sigma:.6g})")
     return 0
@@ -97,28 +86,19 @@ def _cmd_solve_private(args):
 
 def _cmd_solve_baseline(args):
     config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    instance = load_instance(config)
-    dataset = demand_mod.sample_dataset(
-        instance.mean_demand, config.n_days, config.period_minutes, seed=config.dataset_seed
-    )
-    policy, trace = solve_baseline(config, instance, dataset, alpha=args.alpha)
-    policy_to_csv(policy, instance.network, out_dir / "policy.csv")
+    out_dir = output_dir(args.out_dir)
+    pipeline = Pipeline(config)
+    policy, trace = pipeline.baseline(pipeline.sample()[0], alpha=args.alpha)
+    policy_to_csv(policy, pipeline.instance.network, out_dir / "policy.csv")
     write_csv(out_dir / "gap_trace.csv", ["iteration", "gap", "cost"], trace)
-    write_metadata(
-        out_dir,
-        "solve_baseline",
-        {"config": json.loads(config.to_json()), "alpha": args.alpha, "iterations": len(trace)},
-    )
+    write_metadata(out_dir, "solve_baseline", config, alpha=args.alpha, iterations=len(trace))
     print(f"baseline policy written to {out_dir / 'policy.csv'} (final gap={trace[-1][1]:.6g})")
     return 0
 
 
 def _cmd_audit(args):
     config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out_dir)
     instance = load_instance(config)
     audit_config = SensitivityAuditConfig(
         network=instance.network,
@@ -132,16 +112,8 @@ def _cmd_audit(args):
     )
     report = audit_sensitivity(audit_config, trials=args.trials)
     (out_dir / "sensitivity_audit.csv").write_text(report.to_csv())
-    write_metadata(
-        out_dir,
-        "audit",
-        {
-            "config": json.loads(config.to_json()),
-            "trials": args.trials,
-            "max_ratio": report.max_ratio,
-            "passed": report.passed,
-        },
-    )
+    write_metadata(out_dir, "audit", config, trials=args.trials, max_ratio=report.max_ratio,
+                   passed=report.passed)
     print(
         f"audit {'PASS' if report.passed else 'FAIL'}: max ratio {report.max_ratio:.4g} "
         f"(slack {report.slack:.3g}) strict={'PASS' if report.strict_passed else 'FAIL'}"
@@ -151,8 +123,7 @@ def _cmd_audit(args):
 
 def _cmd_demo_impossibility(args):
     config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(args.out_dir)
     instance = load_instance(config)
     od = (args.origin - 1, args.destination - 1)
     base = np.zeros_like(instance.mean_demand)
@@ -169,11 +140,8 @@ def _cmd_demo_impossibility(args):
             ),
         ],
     )
-    write_metadata(
-        out_dir,
-        "impossibility",
-        {"config": json.loads(config.to_json()), "od": [args.origin, args.destination], "separated": report.separated},
-    )
+    write_metadata(out_dir, "impossibility", config, od=[args.origin, args.destination],
+                   separated=report.separated)
     print(f"distinguisher separated the adjacent pair: {report.separated}")
     return 0 if report.separated else 2
 
@@ -185,30 +153,23 @@ def _cmd_experiment(args):
         "privacy-cost": run_privacy_cost,
         "sweep": run_sensitivity_sweep,
     }[args.kind]
-    result = runner(config, args.out_dir)
+    runner(config, args.out_dir)
     print(f"experiment '{args.kind}' artifacts written under {args.out_dir}")
     return 0
 
 
 def _cmd_decompose(args):
     config = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    instance = load_instance(config)
-    policy = policy_from_csv(args.policy, instance.network)
-    n = instance.network.node_count
+    out_dir = output_dir(args.out_dir)
+    network = load_instance(config).network
+    policy = policy_from_csv(args.policy, network)
     distributions = []
-    for block in range(n * n):
-        o, d = divmod(block, n)
-        if o == d or not np.any(policy[block]):
-            continue
-        distributions.append(decompose_flow(policy[block], (o, d), instance.network))
-    paths_to_csv(distributions, instance.network, out_dir / "path_distributions.csv")
-    write_metadata(
-        out_dir,
-        "decompose",
-        {"config": json.loads(config.to_json()), "policy": str(args.policy), "blocks": len(distributions)},
-    )
+    for block in np.flatnonzero(policy.any(axis=1)).tolist():
+        o, d = divmod(block, network.node_count)
+        if o != d:  # a diagonal block routes no pair
+            distributions.append(decompose_flow(policy[block], (o, d), network))
+    paths_to_csv(distributions, network, out_dir / "path_distributions.csv")
+    write_metadata(out_dir, "decompose", config, policy=str(args.policy), blocks=len(distributions))
     print(f"path distributions written to {out_dir / 'path_distributions.csv'}")
     return 0
 

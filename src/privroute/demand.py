@@ -20,7 +20,7 @@ def _day_rng(seed, day):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, day))))
 
 
-def validate_demand_matrix(matrix, lambda_bound=None):
+def validate_demand_matrix(matrix):
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("demand matrix must be square")
@@ -28,8 +28,6 @@ def validate_demand_matrix(matrix, lambda_bound=None):
         raise ValueError("demand rates must be nonnegative")
     if np.any(np.diagonal(matrix) != 0):
         raise ValueError("diagonal demand must be zero")
-    if lambda_bound is not None and np.max(matrix, initial=0.0) > lambda_bound:
-        raise ValueError("demand rate exceeds the stated bound")
     return matrix
 
 

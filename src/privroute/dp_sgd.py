@@ -81,6 +81,18 @@ def gaussian_noise_scale(constants, n_days, privacy):
     return s / privacy.epsilon * math.sqrt(2.0 * math.log(1.25 / privacy.delta))
 
 
+def resolve_noise_scale(constants, n_days, privacy, override=None):
+    """Noise standard deviation of a release: the calibrated Gaussian-mechanism
+    value, or override when one is given (0 disables the noise)."""
+    if override is None:
+        if privacy is None:
+            raise ValueError("either privacy parameters or noise_scale is required")
+        return gaussian_noise_scale(constants, n_days, privacy)
+    if not (override >= 0 and math.isfinite(override)):
+        raise ValueError("noise_scale must be nonnegative and finite")
+    return float(override)
+
+
 def sample_gaussian(sigma, dim, seed):
     """dim i.i.d. N(0, sigma^2) draws via Box-Muller on Philox uniforms.
 
@@ -203,14 +215,7 @@ def private_sgd(
         noise_scale: override for the noise standard deviation; None means
             the calibrated Gaussian-mechanism value.
     """
-    if noise_scale is None:
-        if privacy is None:
-            raise ValueError("either privacy parameters or noise_scale is required")
-        sigma = gaussian_noise_scale(constants, dataset.day_count, privacy)
-    else:
-        if not (noise_scale >= 0 and math.isfinite(noise_scale)):
-            raise ValueError("noise_scale must be nonnegative and finite")
-        sigma = float(noise_scale)
+    sigma = resolve_noise_scale(constants, dataset.day_count, privacy, noise_scale)
     if projector is None:
         projector = FlowProjector(network)
     x_pre, cost_trace, travel_trace = descend(

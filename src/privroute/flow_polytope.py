@@ -267,9 +267,6 @@ class FlowProjector:
             X, previous = previous, X
         return active, float(residual.max())
 
-    def project_block(self, v, od, tol=DEFAULT_TOL):
-        return self.project_rows(np.asarray(v, dtype=float)[None, :], [od], tol=tol)[0]
-
     def reachable(self, o, d):
         """Whether a directed o -> d path exists; o and d may be index arrays."""
         return self._reach[o, d]
@@ -297,7 +294,8 @@ def project_unit_flow(v, od, network, tol=DEFAULT_TOL):
     o, d = od
     if o == d:
         raise ValueError("od pair must have distinct endpoints")
-    return FlowProjector(network).project_block(v, od, tol=tol)
+    V = np.asarray(v, dtype=float)[None, :]
+    return FlowProjector(network).project_rows(V, [od], tol=tol)[0]
 
 
 def _tree_path(v, pred_edge, tails):

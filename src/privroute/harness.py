@@ -1,5 +1,6 @@
-"""Experiment orchestration: configuration, instance loading, and the three
-CSV-producing experiments (convergence, privacy cost, sensitivity sweeps).
+"""Experiment orchestration: configuration, instance loading, the solve
+pipeline that the CLI and the experiments share, and the three CSV-producing
+experiments (convergence, privacy cost, sensitivity sweeps).
 
 Unit conventions of the default configuration: demand rates are requests per
 minute (trips files are hourly and divided by 60 at parse time); the
@@ -15,6 +16,7 @@ reproduce byte-identical artifacts.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import json
@@ -32,8 +34,8 @@ from .dp_sgd import (
     STEP_PROJECTION_TOL,
     PrivacyParams,
     descend,
-    gaussian_noise_scale,
     perturb_and_project,
+    resolve_noise_scale,
 )
 from .flow_polytope import FlowProjector, initial_shortest_path_policy, pair_index
 from .net_model import affine_latency_from, parse_tntp_network, parse_tntp_trips
@@ -158,10 +160,14 @@ def resolve_constants(config, instance, dataset, alpha=None):
     )
 
 
-def solve_baseline(config, instance, dataset, alpha=0.0):
-    """Frank-Wolfe at the dataset's average demand (the fast evaluation path)."""
+def solve_baseline(config, instance, dataset, alpha=0.0, x0=None):
+    """Frank-Wolfe at the dataset's average demand (the fast evaluation path).
+
+    x0 is the free-flow shortest-path start; a caller that holds it passes it.
+    """
     avg = demand_mod.average_demand(dataset)
-    x0 = initial_shortest_path_policy(instance.network)
+    if x0 is None:
+        x0 = initial_shortest_path_policy(instance.network)
     x0_cost = travel_time_cost(x0, avg, instance.latency)
     return frank_wolfe_solve(
         avg,
@@ -172,6 +178,56 @@ def solve_baseline(config, instance, dataset, alpha=0.0):
         max_iters=config.max_fw_iters,
         x0=x0,
     )
+
+
+class Pipeline:
+    """The method's steps on one configured instance: sample the days, descend
+    from the free-flow start, solve the Frank-Wolfe baseline.
+
+    The projector and the start depend only on the topology and the free-flow
+    times, so they are built once and shared by every scenario.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.instance = load_instance(config)
+        self.projector = FlowProjector(self.instance.network)
+        self.x0 = initial_shortest_path_policy(self.instance.network)
+
+    def scenario(self, sensitivity_factor=None, demand_scale=None):
+        """This pipeline on the instance with another latency factor or demand scale."""
+        scenario = copy.copy(self)
+        scenario.instance = load_instance(self.config, sensitivity_factor, demand_scale)
+        return scenario
+
+    def sample(self, n_days=None):
+        """The config's dataset (of n_days days when given) and its average demand."""
+        config = self.config
+        dataset = demand_mod.sample_dataset(
+            self.instance.mean_demand,
+            config.n_days if n_days is None else n_days,
+            config.period_minutes,
+            seed=config.dataset_seed,
+        )
+        return dataset, demand_mod.average_demand(dataset)
+
+    def descend(self, dataset, avg, alpha=None):
+        """The noise-free descent, its costs traced at avg: (x, regularized, travel time)."""
+        instance = self.instance
+        return descend(
+            dataset,
+            instance.network,
+            instance.latency,
+            resolve_constants(self.config, instance, dataset, alpha=alpha),
+            self.x0,
+            projector=self.projector,
+            step_tol=self.config.step_tol,
+            trace_demand=avg,
+        )
+
+    def baseline(self, dataset, alpha=0.0):
+        """Frank-Wolfe from the shared start: (policy, gap trace)."""
+        return solve_baseline(self.config, self.instance, dataset, alpha=alpha, x0=self.x0)
 
 
 def _format(value):
@@ -188,17 +244,19 @@ def write_csv(path, header, rows):
             writer.writerow([_format(v) for v in row])
 
 
-def write_metadata(out_dir, name, payload):
+def output_dir(out_dir):
+    """The artifact directory, created when missing."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def write_metadata(out_dir, name, config, **extra):
+    """<name>_metadata.json: the resolved config plus the run's extra entries."""
+    payload = {"config": json.loads(config.to_json()), **extra}
     path = Path(out_dir) / f"{name}_metadata.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
     return path
-
-
-def _resolved_payload(config, extra=None):
-    payload = {"config": json.loads(config.to_json())}
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 _POLICY_COLUMNS = ("origin", "destination", "edge_tail", "edge_head", "value")
@@ -207,21 +265,17 @@ _POLICY_COLUMNS = ("origin", "destination", "edge_tail", "edge_head", "value")
 def policy_to_csv(policy, network, path):
     """Policy CSV: origin, destination, edge_tail, edge_head, value (zeros omitted)."""
     n = network.node_count
+    tails, heads = (network.tails + 1).tolist(), (network.heads + 1).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_POLICY_COLUMNS)
-        for block in range(n * n):
+        for block in np.flatnonzero(policy.any(axis=1)).tolist():
             o, d = divmod(block, n)
-            for e in np.nonzero(policy[block])[0]:
-                writer.writerow(
-                    [
-                        o + 1,
-                        d + 1,
-                        int(network.tails[e]) + 1,
-                        int(network.heads[e]) + 1,
-                        "%.17g" % policy[block, e],
-                    ]
-                )
+            edges = np.flatnonzero(policy[block])
+            writer.writerows(
+                (o + 1, d + 1, tails[e], heads[e], "%.17g" % v)
+                for e, v in zip(edges.tolist(), policy[block, edges].tolist())
+            )
 
 
 def policy_from_csv(path, network):
@@ -280,32 +334,16 @@ def run_convergence(config, out_dir):
     dataset's average demand, and both are normalized by the unregularized
     baseline cost there.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    instance = load_instance(config)
-    projector = FlowProjector(instance.network)
-    x0 = initial_shortest_path_policy(instance.network)
+    out_dir = output_dir(out_dir)
+    pipeline = Pipeline(config)
+    latency = pipeline.instance.latency
     rows, rows_reg = [], []
     baseline_costs = {}
     for n_days in config.n_grid:
-        dataset = demand_mod.sample_dataset(
-            instance.mean_demand, n_days, config.period_minutes, seed=config.dataset_seed
-        )
-        constants = resolve_constants(config, instance, dataset)
-        avg = demand_mod.average_demand(dataset)
-        x_base, _ = solve_baseline(config, instance, dataset)
-        base_cost = travel_time_cost(x_base, avg, instance.latency)
-        baseline_costs[n_days] = base_cost
-        _, reg, raw = descend(
-            dataset,
-            instance.network,
-            instance.latency,
-            constants,
-            x0,
-            projector=projector,
-            step_tol=config.step_tol,
-            trace_demand=avg,
-        )
+        dataset, avg = pipeline.sample(n_days)
+        base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, latency)
+        baseline_costs[str(n_days)] = base_cost
+        _, reg, raw = pipeline.descend(dataset, avg)
         for k, (r, rr) in enumerate(zip(raw, reg)):
             rows.append((n_days, k, r / base_cost))
             rows_reg.append((n_days, k, rr / base_cost))
@@ -313,47 +351,27 @@ def run_convergence(config, out_dir):
     write_csv(
         out_dir / "convergence_regularized.csv", ["N", "iteration", "cost_ratio"], rows_reg
     )
-    write_metadata(
-        out_dir,
-        "convergence",
-        _resolved_payload(config, {"baseline_costs": {str(k): v for k, v in baseline_costs.items()}}),
-    )
+    write_metadata(out_dir, "convergence", config, baseline_costs=baseline_costs)
     return out_dir / "convergence.csv"
 
 
 def run_privacy_cost(config, out_dir):
     """Percentage travel-time increase of the noisy release over the final
     iterate, per (epsilon, delta) cell, averaged over the noise seeds."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    instance = load_instance(config)
-    projector = FlowProjector(instance.network)
-    x0 = initial_shortest_path_policy(instance.network)
-    dataset = demand_mod.sample_dataset(
-        instance.mean_demand, config.n_days, config.period_minutes, seed=config.dataset_seed
-    )
+    out_dir = output_dir(out_dir)
+    pipeline = Pipeline(config)
+    instance = pipeline.instance
+    dataset, avg = pipeline.sample()
     constants = resolve_constants(config, instance, dataset)
-    avg = demand_mod.average_demand(dataset)
-    x_pre, _, _ = descend(
-        dataset,
-        instance.network,
-        instance.latency,
-        constants,
-        x0,
-        projector=projector,
-        step_tol=config.step_tol,
-        trace_demand=avg,
-    )
+    x_pre, _, _ = pipeline.descend(dataset, avg)
     cost_pre = travel_time_cost(x_pre, avg, instance.latency)
     rows = []
     sigmas = {}
     for eps in sorted(config.epsilon_grid):
         for delta in sorted(config.delta_grid):
-            privacy = PrivacyParams(eps, delta)
-            if config.noise_scale_override is None:
-                sigma = gaussian_noise_scale(constants, dataset.day_count, privacy)
-            else:
-                sigma = float(config.noise_scale_override)
+            sigma = resolve_noise_scale(
+                constants, dataset.day_count, PrivacyParams(eps, delta), config.noise_scale_override
+            )
             sigmas[f"{eps},{delta}"] = sigma
             increases = []
             for seed in config.noise_seeds:
@@ -363,46 +381,28 @@ def run_privacy_cost(config, out_dir):
                     continue
                 x_alg = perturb_and_project(
                     x_pre, sigma, seed, instance.network,
-                    projector=projector, final_tol=config.final_tol,
+                    projector=pipeline.projector, final_tol=config.final_tol,
                 )
                 cost_alg = travel_time_cost(x_alg, avg, instance.latency)
                 increases.append(100.0 * (cost_alg - cost_pre) / cost_pre)
             rows.append((eps, delta, float(np.mean(increases))))
     write_csv(out_dir / "privacy_cost.csv", ["epsilon", "delta", "increase_percent"], rows)
-    write_metadata(
-        out_dir,
-        "privacy_cost",
-        _resolved_payload(config, {"sigma": sigmas, "cost_pre": cost_pre}),
-    )
+    write_metadata(out_dir, "privacy_cost", config, sigma=sigmas, cost_pre=cost_pre)
     return out_dir / "privacy_cost.csv"
 
 
-def _sweep_rows(config, instance, projector, x0, alphas):
+def _sweep_rows(pipeline, alphas):
     """Cost-ratio rows (parameter, iteration, ratio) of one scenario.
 
     alphas pairs each reported parameter with the regularizer its descent
     uses. The dataset and the unregularized baseline do not depend on alpha,
     so they are built once per scenario.
     """
-    dataset = demand_mod.sample_dataset(
-        instance.mean_demand, config.n_days, config.period_minutes, seed=config.dataset_seed
-    )
-    avg = demand_mod.average_demand(dataset)
-    x_base, _ = solve_baseline(config, instance, dataset)
-    base_cost = travel_time_cost(x_base, avg, instance.latency)
+    dataset, avg = pipeline.sample()
+    base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, pipeline.instance.latency)
     rows = []
     for parameter, alpha in alphas:
-        constants = resolve_constants(config, instance, dataset, alpha=alpha)
-        _, _, travel_trace = descend(
-            dataset,
-            instance.network,
-            instance.latency,
-            constants,
-            x0,
-            projector=projector,
-            step_tol=config.step_tol,
-            trace_demand=avg,
-        )
+        _, _, travel_trace = pipeline.descend(dataset, avg, alpha=alpha)
         rows.extend((parameter, k, cost / base_cost) for k, cost in enumerate(travel_trace))
     return rows
 
@@ -411,31 +411,23 @@ def run_sensitivity_sweep(config, out_dir):
     """Three sweep CSVs (regularizer, latency factor, demand scale), each with
     columns (parameter, iteration, cost_ratio); the smoothness and cross
     constants are recomputed for every scenario."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    instance = load_instance(config)
-    # every scenario shares the topology and free-flow times, hence the
-    # projector and the shortest-path start
-    projector = FlowProjector(instance.network)
-    x0 = initial_shortest_path_policy(instance.network)
-    alpha_rows = _sweep_rows(
-        config, instance, projector, x0, [(alpha, alpha) for alpha in config.alpha_grid]
-    )
-    factor_rows, scale_rows = [], []
+    out_dir = output_dir(out_dir)
+    pipeline = Pipeline(config)
+    sweeps = {
+        "sweep_alpha": _sweep_rows(pipeline, [(alpha, alpha) for alpha in config.alpha_grid]),
+        "sweep_latency": [],
+        "sweep_demand": [],
+    }
     for factor in config.factor_grid:
-        scenario = load_instance(config, sensitivity_factor=factor)
-        factor_rows += _sweep_rows(config, scenario, projector, x0, [(factor, config.sweep_alpha)])
+        scenario = pipeline.scenario(sensitivity_factor=factor)
+        sweeps["sweep_latency"] += _sweep_rows(scenario, [(factor, config.sweep_alpha)])
     for scale in config.scale_grid:
-        scenario = load_instance(config, demand_scale=scale)
-        scale_rows += _sweep_rows(config, scenario, projector, x0, [(scale, config.sweep_alpha)])
+        scenario = pipeline.scenario(demand_scale=scale)
+        sweeps["sweep_demand"] += _sweep_rows(scenario, [(scale, config.sweep_alpha)])
     paths = []
-    for name, rows in [
-        ("sweep_alpha", alpha_rows),
-        ("sweep_latency", factor_rows),
-        ("sweep_demand", scale_rows),
-    ]:
-        path = Path(out_dir) / f"{name}.csv"
+    for name, rows in sweeps.items():
+        path = out_dir / f"{name}.csv"
         write_csv(path, ["parameter", "iteration", "cost_ratio"], rows)
         paths.append(path)
-    write_metadata(out_dir, "sweep", _resolved_payload(config))
+    write_metadata(out_dir, "sweep", config)
     return paths

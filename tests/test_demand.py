@@ -119,10 +119,6 @@ def test_validate_demand_matrix():
         validate_demand_matrix(np.eye(2))
     with pytest.raises(ValueError):
         validate_demand_matrix(np.zeros((2, 3)))
-    bound = np.zeros((2, 2))
-    bound[0, 1] = 5.0
-    with pytest.raises(ValueError):
-        validate_demand_matrix(bound, lambda_bound=4.0)
 
 
 def test_dataset_invariants():

@@ -60,9 +60,9 @@ def test_projection_idempotent_and_nonexpansive(diamond4):
     for _ in range(20):
         u = rng.normal(size=diamond4.edge_count)
         v = rng.normal(size=diamond4.edge_count)
-        pu = projector.project_block(u, (0, 3), tol=1e-10)
-        pv = projector.project_block(v, (0, 3), tol=1e-10)
-        ppu = projector.project_block(pu, (0, 3), tol=1e-10)
+        pu = projector.project_rows(u[None, :], [(0, 3)], tol=1e-10)[0]
+        pv = projector.project_rows(v[None, :], [(0, 3)], tol=1e-10)[0]
+        ppu = projector.project_rows(pu[None, :], [(0, 3)], tol=1e-10)[0]
         assert np.linalg.norm(ppu - pu) < 1e-10
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9
 
@@ -83,7 +83,7 @@ def test_project_policy_blockwise_equals_per_block(diamond4):
             if o == d:
                 assert np.all(out[block] == 0)
             else:
-                single = projector.project_block(x[block], (o, d), tol=1e-9)
+                single = projector.project_rows(x[block][None, :], [(o, d)], tol=1e-9)[0]
                 assert np.linalg.norm(out[block] - single) < 1e-7
 
 

@@ -241,6 +241,13 @@ def test_policy_csv_round_trip(tiny_config, tmp_path):
     policy_to_csv(policy, instance.network, path)
     back = policy_from_csv(path, instance.network)
     assert np.array_equal(back, policy)
+    # rows come in row-major policy order: by block, then by edge
+    network = instance.network
+    keys = [
+        (int(o), int(d), network.edge_index(int(t) - 1, int(h) - 1))
+        for o, d, t, h, _ in (line.split(",") for line in path.read_text().splitlines()[1:])
+    ]
+    assert len(keys) == np.count_nonzero(policy) and keys == sorted(keys)
 
 
 def write_config(tmp_path, config):
@@ -362,12 +369,33 @@ def test_cli_rejects_bad_input(tiny_config, tmp_path):
 
 
 def test_cli_byte_identical_reruns(tiny_config, tmp_path):
+    # every command twice on one config: each artifact, metadata included,
+    # must repeat byte for byte
     cfg = write_config(tmp_path, tiny_config)
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert cli_main(["solve-private", "--config", cfg, "--out-dir", str(out1)]) == 0
-    assert cli_main(["solve-private", "--config", cfg, "--out-dir", str(out2)]) == 0
-    assert (out1 / "policy.csv").read_bytes() == (out2 / "policy.csv").read_bytes()
-    assert (out1 / "cost_trace.csv").read_bytes() == (out2 / "cost_trace.csv").read_bytes()
+    policy = tmp_path / "source" / "policy.csv"
+    assert cli_main(["solve-private", "--config", cfg, "--out-dir", str(policy.parent)]) == 0
+    commands = [
+        ["solve-private"],
+        ["solve-baseline"],
+        ["audit", "--trials", "2"],
+        ["demo-impossibility", "--origin", "1", "--destination", "4"],
+        ["experiment", "convergence"],
+        ["experiment", "privacy-cost"],
+        ["experiment", "sweep"],
+        ["decompose", "--policy", str(policy)],
+    ]
+    artifacts = []
+    for run in ("r1", "r2"):
+        for k, argv in enumerate(commands):
+            out = tmp_path / run / str(k)
+            assert cli_main(argv + ["--config", cfg, "--out-dir", str(out)]) == 0, argv
+        root = tmp_path / run
+        artifacts.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    first, second = artifacts
+    assert sorted(first) == sorted(second)
+    assert len(first) == 21
+    assert sum(p.name.endswith("_metadata.json") for p in first) == len(commands)
+    assert [p for p in sorted(first) if first[p] != second[p]] == []
 
 
 def test_cli_solve_private_honours_noise_scale_override(tiny_config, tmp_path):
@@ -435,3 +463,44 @@ def test_solve_baseline_builds_start_once(tiny_config, monkeypatch):
     dataset = sample_dataset(instance.mean_demand, 3, 60.0, seed=1)
     harness.solve_baseline(tiny_config, instance, dataset)
     assert len(calls) == 1
+
+
+def test_each_run_builds_one_projector_and_one_start(tiny_config, tmp_path, monkeypatch):
+    # the projector and the free-flow start depend only on the topology, so
+    # every N, scenario and baseline of a run shares the pair built first
+    import sys
+
+    import privroute.flow_polytope as flow_polytope
+
+    counts = {}
+    build_projector = flow_polytope.FlowProjector.__init__
+    build_start = flow_polytope.initial_shortest_path_policy
+
+    def counting_projector(self, *args, **kwargs):
+        counts["projectors"] += 1
+        build_projector(self, *args, **kwargs)
+
+    def counting_start(network, *args):
+        if not args:  # the free-flow start, not a Frank-Wolfe vertex
+            counts["starts"] += 1
+        return build_start(network, *args)
+
+    monkeypatch.setattr(flow_polytope.FlowProjector, "__init__", counting_projector)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "privroute" and vars(module).get(
+            "initial_shortest_path_policy"
+        ) is build_start:
+            monkeypatch.setattr(module, "initial_shortest_path_policy", counting_start)
+    cfg = write_config(tmp_path, tiny_config)
+    runs = {
+        "convergence": lambda out: run_convergence(tiny_config, out),
+        "privacy-cost": lambda out: run_privacy_cost(tiny_config, out),
+        "sweep": lambda out: run_sensitivity_sweep(tiny_config, out),
+        "solve-private": lambda out: cli_main(
+            ["solve-private", "--config", cfg, "--out-dir", str(out)]
+        ),
+    }
+    for name, run in runs.items():
+        counts.update(projectors=0, starts=0)
+        run(tmp_path / name)
+        assert counts == {"projectors": 1, "starts": 1}, name
