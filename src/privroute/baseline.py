@@ -14,27 +14,25 @@ from .flow_polytope import (
     UnreachablePairError,
     initial_shortest_path_policy,
     pair_index,
-    reachability,
     shortest_path_flow,
 )
 from .objective import edge_costs_and_gradient, regularized_cost
 
 
-def _linear_minimizer(gradient_blocks, edge_costs, network, alpha, routable):
+def _linear_minimizer(gradient_blocks, edge_costs, network, alpha, served):
     """Vertex of the policy set minimizing the linearized objective.
 
     With alpha = 0 every block's cost vector is a nonnegative multiple of the
     shared marginal edge costs, so one shortest-path tree per origin covers
     all pairs. With alpha > 0 the per-block regularizer term makes costs
-    block specific.
+    block specific, and each served block gets its own tree.
     """
     n = network.node_count
     if alpha == 0.0:
         return initial_shortest_path_policy(network, edge_costs)
     S = np.zeros_like(gradient_blocks)
-    for o, d in routable:
-        block = pair_index(o, d, n)
-        S[block] = shortest_path_flow((o, d), gradient_blocks[block], network)
+    for block in np.flatnonzero(served).tolist():
+        S[block] = shortest_path_flow(divmod(block, n), gradient_blocks[block], network)
     return S
 
 
@@ -61,19 +59,16 @@ def frank_wolfe_solve(
     slope = latency.slope
 
     X = initial_shortest_path_policy(network) if x0 is None else x0
-    unserved = positive[~X.any(axis=1)[positive]]
+    served = X.any(axis=1)  # the start routes every routable pair
+    unserved = positive[~served[positive]]
     if unserved.size:
         o, d = divmod(int(unserved[0]), n)
         raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
-    routable = None  # the all-or-nothing step at alpha = 0 needs no pair list
-    if alpha != 0.0:
-        reach = reachability(network)
-        routable = [(o, d) for o in range(n) for d in range(n) if o != d and reach[o, d]]
 
     trace = []
     for j in range(max_iters):
         edge_costs, G = edge_costs_and_gradient(X, demand, latency, alpha)
-        S = _linear_minimizer(G, edge_costs, network, alpha, routable)
+        S = _linear_minimizer(G, edge_costs, network, alpha, served)
         D = S - X
         gap = float(-np.sum(G * D))
         cost = regularized_cost(X, demand, latency, alpha)

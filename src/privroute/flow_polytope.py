@@ -89,23 +89,18 @@ def pair_index(o, d, n):
 
 
 def reachability(network):
-    """Boolean (n, n) matrix: reach[o, d] iff a directed o -> d path exists."""
+    """Boolean (n, n) matrix: reach[o, d] iff a directed o -> d path exists.
+
+    The transitive closure of I | adjacency by repeated squaring: after k
+    squarings it holds every path of up to 2^k edges, and a simple path has
+    at most n - 1.
+    """
     n = network.node_count
-    reach = np.zeros((n, n), dtype=bool)
-    heads = network.heads
-    for src in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[src] = True
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for e in network.out_edges(u):
-                v = heads[e]
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        reach[src] = seen
-    return reach
+    reach = np.eye(n)
+    reach[network.tails, network.heads] = 1.0
+    for _ in range(math.ceil(math.log2(n))):
+        reach = (reach @ reach > 0).astype(float)
+    return reach > 0
 
 
 class FlowProjector:
@@ -298,76 +293,51 @@ def project_unit_flow(v, od, network, tol=DEFAULT_TOL):
     return FlowProjector(network).project_rows(V, [od], tol=tol)[0]
 
 
-def _tree_path(v, pred_edge, tails):
-    # edge sequence of the tree path to v, read back along its predecessors
-    path = []
-    while pred_edge[v] >= 0:
-        path.append(pred_edge[v])
-        v = tails[pred_edge[v]]
-    return path[::-1]
-
-
-def _dijkstra(source, costs, network):
-    # shortest_path_tree on Python lists: distances and predecessor edges
-    n, heads, tails = network.node_count, network.heads.tolist(), network.tails.tolist()
-    dist, pred_edge, done = [math.inf] * n, [-1] * n, [False] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d_u, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        if heap and heap[0][0] == d_u:
-            # nodes waiting at one distance settle in the order of their
-            # paths, as from a heap keyed on (distance, path)
-            tied = {u}
-            while heap and heap[0][0] == d_u:
-                tied.add(heapq.heappop(heap)[1])
-            tied = [v for v in tied if not done[v]]
-            u = min(tied, key=lambda v: _tree_path(v, pred_edge, tails))
-            for v in tied:
-                if v != u:
-                    heapq.heappush(heap, (d_u, v))
-        done[u] = True
-        path_u = None
-        for e in network.out_edges(u):
-            v = heads[e]
-            if done[v]:
-                continue
-            cand = d_u + costs[e]
-            if cand == dist[v] and pred_edge[v] >= 0:
-                # exact tie with a reached node: the smaller sequence wins
-                if path_u is None:
-                    path_u = _tree_path(u, pred_edge, tails)
-                if path_u + [e] >= _tree_path(v, pred_edge, tails):
-                    continue
-            elif not cand <= dist[v]:  # also a NaN cost; inf reaches inf
-                continue
-            dist[v] = cand
-            pred_edge[v] = e
-            heapq.heappush(heap, (cand, v))
-    return dist, pred_edge
-
-
-def _checked_costs(edge_costs):
-    edge_costs = np.asarray(edge_costs, dtype=float)
-    if np.any(edge_costs < 0):
+def _dijkstra(sources, edge_costs, network):
+    # shortest_path_tree from each source, on Python lists: the distances and
+    # the predecessor edges, one list of each per source
+    costs = np.asarray(edge_costs, dtype=float)
+    if np.any(costs < 0):
         raise ValueError("edge costs must be nonnegative")
-    return edge_costs.tolist()
+    costs = costs.tolist()
+    n, heads, out_edges = network.node_count, network.heads.tolist(), network.out_edges
+    pop, push = heapq.heappop, heapq.heappush
+    dists, preds = [], []
+    for source in sources:
+        dist, pred_edge, seq, done = [math.inf] * n, [-1] * n, [None] * n, [False] * n
+        dist[source], seq[source] = 0.0, ()
+        heap = [(0.0, (), source)]
+        while heap:
+            d_u, seq_u, u = pop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            for e in out_edges(u):
+                v = heads[e]
+                if done[v]:
+                    continue
+                cand = d_u + costs[e]  # a NaN cost relaxes nothing; inf reaches inf
+                if cand < dist[v] or cand == dist[v] and (seq[v] is None or seq_u + (e,) < seq[v]):
+                    dist[v], pred_edge[v], seq[v] = cand, e, seq_u + (e,)
+                    push(heap, (cand, seq[v], v))
+        dists.append(dist)
+        preds.append(pred_edge)
+    return dists, preds
 
 
 def shortest_path_tree(source, edge_costs, network):
     """Deterministic Dijkstra from one source under nonnegative edge costs.
 
-    Ties in path cost are broken by the lexicographically smallest edge-index
-    sequence; the sequences are rebuilt from the predecessor edges only when
-    two costs tie exactly. Returns (distances, predecessor edge per node):
+    The heap is keyed on (distance, edge-index sequence, node), so ties in
+    path cost go to the lexicographically smallest sequence. A node's
+    sequence is built only when a relaxation lowers its distance or ties it
+    with a smaller sequence. Returns (distances, predecessor edge per node):
     the tree path to v is the path to the tail of pred_edge[v] followed by
     that edge. Nodes without a finite-cost path carry distance inf; the
     source and nodes no edge reaches carry predecessor -1.
     """
-    dist, pred_edge = _dijkstra(source, _checked_costs(edge_costs), network)
-    return np.array(dist), np.array(pred_edge, dtype=np.intp)
+    dist, pred_edge = _dijkstra([source], edge_costs, network)
+    return np.array(dist[0]), np.array(pred_edge[0], dtype=np.intp)
 
 
 def shortest_path_flow(od, edge_costs, network):
@@ -397,10 +367,8 @@ def initial_shortest_path_policy(network, edge_costs=None):
     if edge_costs is None:
         edge_costs = network.free_flow_time
     n = network.node_count
-    costs = _checked_costs(edge_costs)
-    trees = [_dijkstra(o, costs, network) for o in range(n)]
-    dist = np.array([tree[0] for tree in trees])
-    pred_edge = np.array([tree[1] for tree in trees], dtype=np.intp)
+    dist, pred_edge = _dijkstra(range(n), edge_costs, network)
+    dist, pred_edge = np.array(dist), np.array(pred_edge, dtype=np.intp)
     o, cur = np.nonzero(np.isfinite(dist) & ~np.eye(n, dtype=bool))  # row-major
     rows = pair_index(o, cur, n)
     policy = np.zeros((n * n, network.edge_count))

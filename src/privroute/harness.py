@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -141,7 +142,7 @@ class Instance:
 def load_instance(config, sensitivity_factor=None, demand_scale=None):
     """Parse the configured files and apply the unit and scenario knobs."""
     network = parse_tntp_network(_read_input(config.net_path))
-    network = network.with_capacity(network.capacity * config.capacity_scale)
+    network = dataclasses.replace(network, capacity=network.capacity * config.capacity_scale)
     factor = config.sensitivity_factor if sensitivity_factor is None else sensitivity_factor
     scale = config.demand_scale if demand_scale is None else demand_scale
     latency = affine_latency_from(network, factor)
@@ -185,14 +186,18 @@ class Pipeline:
     from the free-flow start, solve the Frank-Wolfe baseline.
 
     The projector and the start depend only on the topology and the free-flow
-    times, so they are built once and shared by every scenario.
+    times, so they are built once and shared by every scenario. The projector
+    is built on first use, so a run that only solves the baseline builds none.
     """
 
     def __init__(self, config):
         self.config = config
         self.instance = load_instance(config)
-        self.projector = FlowProjector(self.instance.network)
         self.x0 = initial_shortest_path_policy(self.instance.network)
+
+    @functools.cached_property
+    def projector(self):
+        return FlowProjector(self.instance.network)
 
     def scenario(self, sensitivity_factor=None, demand_scale=None):
         """This pipeline on the instance with another latency factor or demand scale."""
@@ -211,14 +216,15 @@ class Pipeline:
         )
         return dataset, demand_mod.average_demand(dataset)
 
-    def descend(self, dataset, avg, alpha=None):
-        """The noise-free descent, its costs traced at avg: (x, regularized, travel time)."""
+    def descend(self, dataset, avg, constants):
+        """The noise-free descent under the resolved constants, its costs traced
+        at avg: (x, regularized, travel time)."""
         instance = self.instance
         return descend(
             dataset,
             instance.network,
             instance.latency,
-            resolve_constants(self.config, instance, dataset, alpha=alpha),
+            constants,
             self.x0,
             projector=self.projector,
             step_tol=self.config.step_tol,
@@ -343,7 +349,8 @@ def run_convergence(config, out_dir):
         dataset, avg = pipeline.sample(n_days)
         base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, latency)
         baseline_costs[str(n_days)] = base_cost
-        _, reg, raw = pipeline.descend(dataset, avg)
+        constants = resolve_constants(config, pipeline.instance, dataset)
+        _, reg, raw = pipeline.descend(dataset, avg, constants)
         for k, (r, rr) in enumerate(zip(raw, reg)):
             rows.append((n_days, k, r / base_cost))
             rows_reg.append((n_days, k, rr / base_cost))
@@ -363,7 +370,7 @@ def run_privacy_cost(config, out_dir):
     instance = pipeline.instance
     dataset, avg = pipeline.sample()
     constants = resolve_constants(config, instance, dataset)
-    x_pre, _, _ = pipeline.descend(dataset, avg)
+    x_pre, _, _ = pipeline.descend(dataset, avg, constants)
     cost_pre = travel_time_cost(x_pre, avg, instance.latency)
     rows = []
     sigmas = {}
@@ -402,7 +409,8 @@ def _sweep_rows(pipeline, alphas):
     base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, pipeline.instance.latency)
     rows = []
     for parameter, alpha in alphas:
-        _, _, travel_trace = pipeline.descend(dataset, avg, alpha=alpha)
+        constants = resolve_constants(pipeline.config, pipeline.instance, dataset, alpha=alpha)
+        _, _, travel_trace = pipeline.descend(dataset, avg, constants)
         rows.extend((parameter, k, cost / base_cost) for k, cost in enumerate(travel_trace))
     return rows
 

@@ -83,16 +83,6 @@ class Network:
     def out_edges(self, node):
         return self._out_edges[node]
 
-    def with_capacity(self, capacity):
-        """Copy of the network with a replaced capacity vector."""
-        return Network(
-            node_count=self.node_count,
-            tails=self.tails.copy(),
-            heads=self.heads.copy(),
-            free_flow_time=self.free_flow_time.copy(),
-            capacity=np.asarray(capacity, dtype=float),
-        )
-
     def incidence_matrix(self):
         """Dense node-edge incidence A with A[u, e] = +1 if e enters u, -1 if e leaves u.
 

@@ -10,7 +10,7 @@ from privroute.flow_polytope import (
 )
 from privroute.net_model import LatencyModel, affine_latency_from
 from privroute.objective import gradient, regularized_cost, travel_time_cost
-from conftest import random_policy
+from conftest import conservation_residual, random_policy
 
 
 def triangle_demand(rate=1.0):
@@ -76,6 +76,26 @@ def test_frank_wolfe_regularized_matches_projected_gradient(diamond4):
     c_fw = regularized_cost(x_fw, demand, lat, alpha)
     c_pg = regularized_cost(x, demand, lat, alpha)
     assert abs(c_fw - c_pg) / c_pg < 1e-6
+
+
+def test_frank_wolfe_regularized_on_one_way_triangle(triangle, triangle_latency):
+    # (2, 1), (3, 1) and (3, 2) have no path: their rows stay zero while the
+    # three routable rows, demanded or not, stay unit flows
+    demand = triangle_demand(1.0)
+    demand[1, 2] = 0.5
+    gap_tol = 1e-9
+    x, trace = frank_wolfe_solve(
+        demand, triangle, triangle_latency, alpha=0.5, gap_tol=gap_tol, max_iters=100000
+    )
+    assert trace[-1][1] <= gap_tol
+    for o in range(3):
+        for d in range(3):
+            block = x[pair_index(o, d, 3)]
+            if o < d:
+                assert conservation_residual(block, (o, d), triangle) < 1e-12
+                assert np.all((block >= 0.0) & (block <= 1.0))
+            else:
+                assert not block.any(), (o, d)
 
 
 def test_frank_wolfe_unreachable_demand(triangle, triangle_latency):

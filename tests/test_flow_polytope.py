@@ -12,6 +12,7 @@ from privroute.flow_polytope import (
     initial_shortest_path_policy,
     pair_index,
     project_unit_flow,
+    reachability,
     shortest_path_flow,
     shortest_path_tree,
 )
@@ -454,6 +455,60 @@ def test_initial_policy_digest_on_sioux_falls(sioux_falls):
     x0 = initial_shortest_path_policy(sioux_falls.network)
     digest = hashlib.sha256(x0.astype("<f8").tobytes()).hexdigest()
     assert digest == "5e07b139c048a12264a5fec4d5155a6a3a0d293e3ff762ca0ba19edb430cf0ff"
+
+
+def bfs_reachability(network):
+    """Brute-force oracle: one breadth-first search per source over an
+    adjacency list built from the edge arrays."""
+    n = network.node_count
+    successors = [[] for _ in range(n)]
+    for u, v in zip(network.tails.tolist(), network.heads.tolist()):
+        successors[u].append(v)
+    reach = np.zeros((n, n), dtype=bool)
+    for source in range(n):
+        reach[source, source] = True
+        frontier = [source]
+        while frontier:
+            frontier = [v for u in frontier for v in successors[u] if not reach[source, v]]
+            reach[source, frontier] = True
+    return reach
+
+
+def random_sparse_digraph(rng, n, m):
+    """n nodes and up to m distinct directed edges drawn uniformly, no
+    self-loops; the edge list may come out empty."""
+    pairs = sorted({(int(u), int(v)) for u, v in rng.integers(n, size=(m, 2)) if u != v})
+    return Network(
+        node_count=n,
+        tails=[u for u, _ in pairs],
+        heads=[v for _, v in pairs],
+        free_flow_time=np.ones(len(pairs)),
+        capacity=np.ones(len(pairs)),
+    )
+
+
+def test_reachability_matches_bfs():
+    # seeded sparse digraphs, most with unreachable pairs, then two components
+    # with no edge between them: a one-way 3-path and a 2-cycle
+    rng = np.random.default_rng(5)
+    networks = []
+    for _ in range(60):
+        n = int(rng.integers(2, 20))
+        networks.append(random_sparse_digraph(rng, n, int(rng.integers(1, 2 * n))))
+    networks.append(Network(
+        node_count=5, tails=[0, 1, 3, 4], heads=[1, 2, 4, 3],
+        free_flow_time=np.ones(4), capacity=np.ones(4),
+    ))
+    unreachable = 0
+    for net in networks:
+        reach = reachability(net)
+        assert reach.dtype == bool
+        assert np.array_equal(reach, bfs_reachability(net))
+        unreachable += int((~reach).sum())
+    assert unreachable > 0
+    expected = np.eye(5, dtype=bool)
+    expected[0, [1, 2]] = expected[1, 2] = expected[3, 4] = expected[4, 3] = True
+    assert np.array_equal(reach, expected)
 
 
 def test_conservation_rhs(triangle):

@@ -504,3 +504,37 @@ def test_each_run_builds_one_projector_and_one_start(tiny_config, tmp_path, monk
         counts.update(projectors=0, starts=0)
         run(tmp_path / name)
         assert counts == {"projectors": 1, "starts": 1}, name
+
+
+def test_solve_baseline_builds_no_projector(tiny_config, tmp_path, monkeypatch):
+    # Frank-Wolfe projects nothing, and the pipeline builds its projector on
+    # first use
+    import privroute.flow_polytope as flow_polytope
+
+    built = []
+    build = flow_polytope.FlowProjector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(flow_polytope.FlowProjector, "__init__", counting)
+    cfg = write_config(tmp_path, tiny_config)
+    assert cli_main(["solve-baseline", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert built == []
+
+
+def test_privacy_cost_resolves_constants_once(tiny_config, tmp_path, monkeypatch):
+    # sigma is calibrated from the constants object the descent ran with
+    import privroute.harness as harness
+
+    resolved = []
+    compute = harness.compute_constants
+
+    def counting(*args):
+        resolved.append(compute(*args))
+        return resolved[-1]
+
+    monkeypatch.setattr(harness, "compute_constants", counting)
+    run_privacy_cost(tiny_config, tmp_path / "out")
+    assert len(resolved) == 1
