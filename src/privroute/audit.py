@@ -55,7 +55,6 @@ class SensitivityTrial:
 @dataclass(frozen=True)
 class SensitivityReport:
     trials: tuple
-    bound: float
     slack: float
     max_ratio: float
     passed: bool
@@ -109,7 +108,6 @@ def audit_sensitivity(config, trials):
     x0 = initial_shortest_path_policy(network)
     pairs = projector.routable_pairs()
     rows = []
-    bound_used = None
     for trial in range(trials):
         dataset = demand_mod.sample_dataset(
             config.mean_demand,
@@ -126,7 +124,6 @@ def audit_sensitivity(config, trials):
             network, config.latency, lam_bound, config.alpha, config.period_minutes
         )
         bound = sensitivity_bound(constants, config.n_days)
-        bound_used = bound
         x_a, _, _ = descend(
             dataset, network, config.latency, constants, x0,
             projector=projector, step_tol=config.step_tol,
@@ -152,7 +149,6 @@ def audit_sensitivity(config, trials):
     max_ratio = max(row.ratio for row in rows)
     return SensitivityReport(
         trials=tuple(rows),
-        bound=bound_used,
         slack=slack,
         max_ratio=max_ratio,
         passed=all(row.distance <= row.bound + abs_slack for row in rows),

@@ -2,38 +2,16 @@
 
 Frank-Wolfe exploits that every linearized subproblem over the policy set
 splits into per-pair minimum-cost unit flows; the linearization coefficients
-are nonnegative here, so each subproblem is solved by a shortest path. The
-duality gap at the last iterate certifies suboptimality for the convex
-objective.
+are nonnegative here, so each subproblem is solved by a shortest path, and
+initial_shortest_path_policy solves all pairs at once. The duality gap at the
+last iterate certifies suboptimality for the convex objective.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .flow_polytope import (
-    UnreachablePairError,
-    initial_shortest_path_policy,
-    pair_index,
-    shortest_path_flow,
-)
+from .flow_polytope import UnreachablePairError, initial_shortest_path_policy
 from .objective import edge_costs_and_gradient, regularized_cost
-
-
-def _linear_minimizer(gradient_blocks, edge_costs, network, alpha, served):
-    """Vertex of the policy set minimizing the linearized objective.
-
-    With alpha = 0 every block's cost vector is a nonnegative multiple of the
-    shared marginal edge costs, so one shortest-path tree per origin covers
-    all pairs. With alpha > 0 the per-block regularizer term makes costs
-    block specific, and each served block gets its own tree.
-    """
-    n = network.node_count
-    if alpha == 0.0:
-        return initial_shortest_path_policy(network, edge_costs)
-    S = np.zeros_like(gradient_blocks)
-    for block in np.flatnonzero(served).tolist():
-        S[block] = shortest_path_flow(divmod(block, n), gradient_blocks[block], network)
-    return S
 
 
 def frank_wolfe_solve(
@@ -59,8 +37,7 @@ def frank_wolfe_solve(
     slope = latency.slope
 
     X = initial_shortest_path_policy(network) if x0 is None else x0
-    served = X.any(axis=1)  # the start routes every routable pair
-    unserved = positive[~served[positive]]
+    unserved = positive[~X.any(axis=1)[positive]]  # the start routes every routable pair
     if unserved.size:
         o, d = divmod(int(unserved[0]), n)
         raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
@@ -68,7 +45,9 @@ def frank_wolfe_solve(
     trace = []
     for j in range(max_iters):
         edge_costs, G = edge_costs_and_gradient(X, demand, latency, alpha)
-        S = _linear_minimizer(G, edge_costs, network, alpha, served)
+        # at alpha = 0 every block of G is a nonnegative multiple of the
+        # shared edge costs, so one tree per origin covers all pairs
+        S = initial_shortest_path_policy(network, G if alpha else edge_costs)
         D = S - X
         gap = float(-np.sum(G * D))
         cost = regularized_cost(X, demand, latency, alpha)
@@ -88,20 +67,19 @@ def frank_wolfe_solve(
 def standard_feasible_flow(demand, network):
     """Feasible solution of the standard demand-scaled flow formulation.
 
-    Block (o, d) carries demand(o, d) units on a cheapest free-flow path, so
-    the net inflow at each node is exactly demand(o,d) * (1[d] - 1[o]).
+    Block (o, d) carries demand(o, d) units on its path in the free-flow start,
+    so the net inflow at each node is exactly demand(o,d) * (1[d] - 1[o]). The
+    first demanded pair in row-major order with no path raises an error.
     """
     demand = np.asarray(demand, dtype=float)
     n = demand.shape[0]
-    flows = np.zeros((n * n, network.edge_count))
-    for o in range(n):
-        for d in range(n):
-            if o == d or demand[o, d] == 0:
-                continue
-            flows[pair_index(o, d, n)] = demand[o, d] * shortest_path_flow(
-                (o, d), network.free_flow_time, network
-            )
-    return flows
+    x0 = initial_shortest_path_policy(network)
+    demanded = ((demand != 0) & ~np.eye(n, dtype=bool)).reshape(n * n)
+    unserved = np.flatnonzero(demanded & ~x0.any(axis=1))
+    if unserved.size:
+        o, d = divmod(int(unserved[0]), n)
+        raise UnreachablePairError(f"no path from {o + 1} to {d + 1}")
+    return demand.reshape(n * n, 1) * x0
 
 
 def detect_od_presence(solution, network, node, tol=1e-12):

@@ -24,8 +24,8 @@ def validate_demand_matrix(matrix):
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("demand matrix must be square")
-    if np.any(matrix < 0):
-        raise ValueError("demand rates must be nonnegative")
+    if not np.all((0 <= matrix) & (matrix < np.inf)):
+        raise ValueError("demand rates must be nonnegative and finite")
     if np.any(np.diagonal(matrix) != 0):
         raise ValueError("diagonal demand must be zero")
     return matrix

@@ -294,16 +294,17 @@ def project_unit_flow(v, od, network, tol=DEFAULT_TOL):
 
 
 def _dijkstra(sources, edge_costs, network):
-    # shortest_path_tree from each source, on Python lists: the distances and
-    # the predecessor edges, one list of each per source
+    # shortest_path_tree from each source under one shared (m,) cost vector
+    # or its own row of (len(sources), m) costs: (len(sources), n) arrays of
+    # distances and of predecessor edges
     costs = np.asarray(edge_costs, dtype=float)
     if np.any(costs < 0):
         raise ValueError("edge costs must be nonnegative")
-    costs = costs.tolist()
+    rows = costs.tolist() if costs.ndim == 2 else [costs.tolist()] * len(sources)
     n, heads, out_edges = network.node_count, network.heads.tolist(), network.out_edges
     pop, push = heapq.heappop, heapq.heappush
     dists, preds = [], []
-    for source in sources:
+    for source, cost in zip(sources, rows):
         dist, pred_edge, seq, done = [math.inf] * n, [-1] * n, [None] * n, [False] * n
         dist[source], seq[source] = 0.0, ()
         heap = [(0.0, (), source)]
@@ -316,13 +317,13 @@ def _dijkstra(sources, edge_costs, network):
                 v = heads[e]
                 if done[v]:
                     continue
-                cand = d_u + costs[e]  # a NaN cost relaxes nothing; inf reaches inf
+                cand = d_u + cost[e]  # a NaN cost relaxes nothing; inf reaches inf
                 if cand < dist[v] or cand == dist[v] and (seq[v] is None or seq_u + (e,) < seq[v]):
                     dist[v], pred_edge[v], seq[v] = cand, e, seq_u + (e,)
                     push(heap, (cand, seq[v], v))
         dists.append(dist)
         preds.append(pred_edge)
-    return dists, preds
+    return np.array(dists), np.array(preds, dtype=np.intp)
 
 
 def shortest_path_tree(source, edge_costs, network):
@@ -337,7 +338,7 @@ def shortest_path_tree(source, edge_costs, network):
     source and nodes no edge reaches carry predecessor -1.
     """
     dist, pred_edge = _dijkstra([source], edge_costs, network)
-    return np.array(dist[0]), np.array(pred_edge[0], dtype=np.intp)
+    return dist[0], pred_edge[0]
 
 
 def shortest_path_flow(od, edge_costs, network):
@@ -358,22 +359,32 @@ def shortest_path_flow(od, edge_costs, network):
 def initial_shortest_path_policy(network, edge_costs=None):
     """All-or-nothing policy: every od block on its cheapest path.
 
-    Defaults to free-flow times as costs. Diagonal blocks stay zero, as do
-    blocks of unreachable pairs (matching the projector's convention). The
-    policy is built from the n trees' predecessor arrays: all reachable
-    pairs walk back from their destinations together, one edge per pair
-    and step, until each reaches its origin.
+    edge_costs is one (m,) vector shared by all blocks, free-flow times by
+    default, or one cost row per block, of shape (n*n, m). Paths and ties are
+    those of shortest_path_tree. Diagonal blocks stay zero, as do blocks of
+    pairs with no finite-cost path (matching the projector's convention).
+    Shared costs take one tree per origin, per-block costs one tree per
+    off-diagonal block, stored at the block's row. Then all reached pairs
+    walk back from their destinations together, one edge per pair and step,
+    until each reaches its origin.
     """
-    if edge_costs is None:
-        edge_costs = network.free_flow_time
-    n = network.node_count
-    dist, pred_edge = _dijkstra(range(n), edge_costs, network)
-    dist, pred_edge = np.array(dist), np.array(pred_edge, dtype=np.intp)
-    o, cur = np.nonzero(np.isfinite(dist) & ~np.eye(n, dtype=bool))  # row-major
+    costs = np.asarray(network.free_flow_time if edge_costs is None else edge_costs, dtype=float)
+    n, m = network.node_count, network.edge_count
+    off_diagonal = ~np.eye(n, dtype=bool)
+    per_block = costs.ndim == 2
+    if per_block:
+        o, d = np.nonzero(off_diagonal)
+        blocks = pair_index(o, d, n)
+        dist, pred_edge = np.full((n * n, n), np.inf), np.full((n * n, n), -1)
+        dist[blocks], pred_edge[blocks] = _dijkstra(o, costs[blocks], network)
+        dist = dist.reshape(n, n, n).diagonal(axis1=1, axis2=2)  # [o, d]: d in the tree of (o, d)
+    else:
+        dist, pred_edge = _dijkstra(range(n), costs, network)
+    o, cur = np.nonzero(np.isfinite(dist) & off_diagonal)  # row-major
     rows = pair_index(o, cur, n)
-    policy = np.zeros((n * n, network.edge_count))
+    policy = np.zeros((n * n, m))
     while rows.size:
-        e = pred_edge[o, cur]
+        e = pred_edge[rows if per_block else o, cur]
         policy[rows, e] = 1.0
         cur = network.tails[e]
         more = cur != o

@@ -139,14 +139,12 @@ class Instance:
     mean_demand: np.ndarray
 
 
-def load_instance(config, sensitivity_factor=None, demand_scale=None):
+def load_instance(config):
     """Parse the configured files and apply the unit and scenario knobs."""
     network = parse_tntp_network(_read_input(config.net_path))
     network = dataclasses.replace(network, capacity=network.capacity * config.capacity_scale)
-    factor = config.sensitivity_factor if sensitivity_factor is None else sensitivity_factor
-    scale = config.demand_scale if demand_scale is None else demand_scale
-    latency = affine_latency_from(network, factor)
-    mean_demand = parse_tntp_trips(_read_input(config.trips_path)) * scale
+    latency = affine_latency_from(network, config.sensitivity_factor)
+    mean_demand = parse_tntp_trips(_read_input(config.trips_path)) * config.demand_scale
     if mean_demand.shape[0] != network.node_count:
         raise ValueError("trips zone count does not match the network node count")
     return Instance(network=network, latency=latency, mean_demand=mean_demand)
@@ -199,10 +197,12 @@ class Pipeline:
     def projector(self):
         return FlowProjector(self.instance.network)
 
-    def scenario(self, sensitivity_factor=None, demand_scale=None):
-        """This pipeline on the instance with another latency factor or demand scale."""
+    def scenario(self, **changes):
+        """This pipeline with the given config fields changed, such as the latency
+        factor; the start and projector are shared, so keep the free-flow network."""
         scenario = copy.copy(self)
-        scenario.instance = load_instance(self.config, sensitivity_factor, demand_scale)
+        scenario.config = dataclasses.replace(self.config, **changes)
+        scenario.instance = load_instance(scenario.config)
         return scenario
 
     def sample(self, n_days=None):

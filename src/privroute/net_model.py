@@ -59,10 +59,10 @@ class Network:
             raise ValueError("edge endpoint outside node range")
         if np.any(tails == heads):
             raise ValueError("self-loops are not allowed")
-        if np.any(self.free_flow_time < 0):
-            raise ValueError("free-flow times must be nonnegative")
-        if np.any(self.capacity <= 0):
-            raise ValueError("capacities must be positive")
+        if not np.all((0 <= self.free_flow_time) & (self.free_flow_time < np.inf)):
+            raise ValueError("free-flow times must be nonnegative and finite")
+        if not np.all((0 < self.capacity) & (self.capacity < np.inf)):
+            raise ValueError("capacities must be positive and finite")
         index = {}
         out_edges = [[] for _ in range(n)]
         for e, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
@@ -118,9 +118,12 @@ def _metadata_value(line, tag, line_no):
     if not body:
         raise TNTPFormatError(f"missing value after {tag}", line_no)
     try:
-        return float(body)
+        value = float(body)
     except ValueError:
         raise TNTPFormatError(f"non-numeric value after {tag}: {body!r}", line_no) from None
+    if not value.is_integer():  # nor are NaN and inf
+        raise TNTPFormatError(f"non-integer value after {tag}: {body!r}", line_no)
+    return int(value)
 
 
 def parse_tntp_network(text):
@@ -130,7 +133,7 @@ def parse_tntp_network(text):
     Data rows are whitespace separated: init_node, term_node, capacity,
     length, free_flow_time, b, power, speed, toll, type, terminated by ';'.
     The trailing columns are parsed and ignored (only the affine model is
-    supported); rows with zero capacity are rejected.
+    supported); non-finite or out-of-range capacities and times are rejected.
     """
     n_nodes = None
     n_links = None
@@ -143,9 +146,9 @@ def parse_tntp_network(text):
         if not in_data:
             upper = line.upper()
             if upper.startswith("<NUMBER OF NODES"):
-                n_nodes = int(_metadata_value(line, "<NUMBER OF NODES>", line_no))
+                n_nodes = _metadata_value(line, "<NUMBER OF NODES>", line_no)
             elif upper.startswith("<NUMBER OF LINKS"):
-                n_links = int(_metadata_value(line, "<NUMBER OF LINKS>", line_no))
+                n_links = _metadata_value(line, "<NUMBER OF LINKS>", line_no)
             elif upper.startswith("<END OF METADATA"):
                 if n_nodes is None or n_links is None:
                     raise TNTPFormatError(
@@ -175,10 +178,10 @@ def parse_tntp_network(text):
             raise TNTPFormatError(
                 f"node id out of range 1..{n_nodes}: ({tail}, {head})", line_no
             )
-        if cap <= 0:
-            raise TNTPFormatError("zero or negative capacity", line_no)
-        if fft < 0:
-            raise TNTPFormatError("negative free-flow time", line_no)
+        if not 0 < cap < np.inf:  # NaN fails every comparison
+            raise TNTPFormatError(f"capacity {fields[2]!r} is not positive and finite", line_no)
+        if not 0 <= fft < np.inf:
+            raise TNTPFormatError(f"free-flow time {fields[4]!r} is not nonnegative and finite", line_no)
         rows.append((tail - 1, head - 1, cap, fft, line_no))
 
     if not in_data:
@@ -216,7 +219,7 @@ def parse_tntp_trips(text):
             continue
         upper = line.upper()
         if upper.startswith("<NUMBER OF ZONES"):
-            n_zones = int(_metadata_value(line, "<NUMBER OF ZONES>", line_no))
+            n_zones = _metadata_value(line, "<NUMBER OF ZONES>", line_no)
             matrix = np.zeros((n_zones, n_zones))
             continue
         if line.startswith("<"):
@@ -250,8 +253,8 @@ def parse_tntp_trips(text):
                 raise TNTPFormatError(f"malformed trips entry: {entry!r}", line_no) from None
             if not 1 <= dest <= n_zones:
                 raise TNTPFormatError(f"destination {dest} out of range", line_no)
-            if flow < 0:
-                raise TNTPFormatError(f"negative flow {flow}", line_no)
+            if not 0 <= flow < np.inf:
+                raise TNTPFormatError(f"flow {flow_s.strip()!r} is not nonnegative and finite", line_no)
             if dest != origin:
                 matrix[origin - 1, dest - 1] = flow / 60.0
     if matrix is None:

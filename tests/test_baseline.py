@@ -127,6 +127,15 @@ def test_standard_feasible_flow_triangle(triangle):
     assert np.all(standard_feasible_flow(np.zeros((3, 3)), triangle) == 0)
 
 
+def test_standard_feasible_flow_names_first_unreachable_pair(triangle):
+    # the one-way triangle has no path into node 1; (2, 1) precedes (3, 1)
+    # in row-major order
+    demand = np.zeros((3, 3))
+    demand[2, 0] = demand[1, 0] = 1.0
+    with pytest.raises(UnreachablePairError, match=r"^no path from 2 to 1$"):
+        standard_feasible_flow(demand, triangle)
+
+
 def test_detect_od_presence_triangle(triangle):
     demand = triangle_demand(1.0 / 60.0)
     flows = standard_feasible_flow(demand, triangle)

@@ -113,6 +113,9 @@ def test_average_demand():
 
 
 def test_validate_demand_matrix():
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            validate_demand_matrix(np.array([[0.0, value], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         validate_demand_matrix(np.full((2, 2), -1.0))
     with pytest.raises(ValueError):

@@ -457,6 +457,19 @@ def test_initial_policy_digest_on_sioux_falls(sioux_falls):
     assert digest == "5e07b139c048a12264a5fec4d5155a6a3a0d293e3ff762ca0ba19edb430cf0ff"
 
 
+def test_regularized_frank_wolfe_digest_on_sioux_falls(sioux_falls):
+    # pins 15 alpha = 100 iterations, whose linear steps build one tree per
+    # block, bit for bit: policy and (iteration, gap, cost) trace
+    X, trace = frank_wolfe_solve(
+        sioux_falls.mean_demand, sioux_falls.network, sioux_falls.latency,
+        alpha=100.0, gap_tol=1e-300, max_iters=15,
+    )
+    assert len(trace) == 15
+    digest = hashlib.sha256(X.astype("<f8").tobytes())
+    digest.update(np.array(trace, dtype="<f8").tobytes())
+    assert digest.hexdigest() == "764096bdf32326e315343de1ca63572f34f253a2c19a6a9bfdbf12a7aa81ee49"
+
+
 def bfs_reachability(network):
     """Brute-force oracle: one breadth-first search per source over an
     adjacency list built from the edge arrays."""
@@ -509,6 +522,28 @@ def test_reachability_matches_bfs():
     expected = np.eye(5, dtype=bool)
     expected[0, [1, 2]] = expected[1, 2] = expected[3, 4] = expected[4, 3] = True
     assert np.array_equal(reach, expected)
+
+
+def test_per_block_costs_match_per_pair_flows():
+    # one cost row per block, integer valued so that paths tie and zero-cost
+    # edges occur, on seeded sparse digraphs with unreachable pairs
+    rng = np.random.default_rng(17)
+    unreachable = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        net = random_sparse_digraph(rng, n, int(rng.integers(1, 3 * n)))
+        costs = rng.integers(0, 3, (n * n, net.edge_count)).astype(float)
+        policy = initial_shortest_path_policy(net, costs)
+        reach = reachability(net)
+        for o in range(n):
+            for d in range(n):
+                row = pair_index(o, d, n)
+                if o != d and reach[o, d]:
+                    assert np.array_equal(policy[row], shortest_path_flow((o, d), costs[row], net))
+                else:
+                    unreachable += o != d
+                    assert not policy[row].any()
+    assert unreachable > 0
 
 
 def test_conservation_rhs(triangle):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,9 +107,9 @@ def test_load_instance_applies_knobs(tiny_config):
     instance = load_instance(tiny_config)
     assert instance.network.node_count == 4
     assert instance.mean_demand[0, 3] == pytest.approx(2.0)  # 120/60
-    doubled = load_instance(tiny_config, demand_scale=2.0)
+    doubled = load_instance(dataclasses.replace(tiny_config, demand_scale=2.0))
     assert doubled.mean_demand[0, 3] == pytest.approx(4.0)
-    flat = load_instance(tiny_config, sensitivity_factor=1.0)
+    flat = load_instance(dataclasses.replace(tiny_config, sensitivity_factor=1.0))
     assert np.all(flat.latency.slope == 0)
 
 
@@ -357,6 +358,30 @@ def test_cli_decompose_rejects_non_finite_value(tiny_config, tmp_path, capsys, v
     assert cli_main(argv) == 1
     assert f"{policy}: line 3: non-finite value" in capsys.readouterr().err
     assert not (out / "path_distributions.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field, old, new, message",
+    [
+        ("net_path", "1 2 10.0 1.0 1.0", "1 2 nan 1.0 1.0", "capacity 'nan' is not positive"),
+        ("net_path", "1 2 10.0 1.0 1.0", "1 2 inf 1.0 1.0", "capacity 'inf' is not positive"),
+        ("net_path", "1 2 10.0 1.0 1.0", "1 2 10.0 1.0 nan", "free-flow time 'nan' is not"),
+        ("net_path", "1 2 10.0 1.0 1.0", "1 2 10.0 1.0 inf", "free-flow time 'inf' is not"),
+        ("trips_path", "4 : 120.0", "4 : nan", "flow 'nan' is not nonnegative"),
+        ("trips_path", "4 : 120.0", "4 : inf", "flow 'inf' is not nonnegative"),
+    ],
+    ids=["capacity-nan", "capacity-inf", "free-flow-nan", "free-flow-inf", "trips-nan", "trips-inf"],
+)
+def test_cli_rejects_non_finite_input_file(tiny_config, tmp_path, capsys, field, old, new, message):
+    # a nan or inf free-flow time made solve-baseline exit 0 with a nan gap
+    path = Path(getattr(tiny_config, field))
+    path.write_text(path.read_text().replace(old, new, 1))
+    cfg = write_config(tmp_path, tiny_config)
+    for command in ("solve-baseline", "solve-private"):
+        out = tmp_path / command
+        assert cli_main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+        assert f"input error: line 6: {message}" in capsys.readouterr().err
+        assert not (out / "policy.csv").exists()
 
 
 def test_cli_rejects_bad_input(tiny_config, tmp_path):

@@ -56,8 +56,11 @@ def test_node_out_of_range_reports_line():
 
 
 def test_malformed_header_and_rows():
-    with pytest.raises(TNTPFormatError):
-        parse_tntp_network("<NUMBER OF NODES> x\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n")
+    for count in ("x", "nan", "inf", "2.5"):
+        with pytest.raises(TNTPFormatError, match="line 1"):
+            parse_tntp_network(f"<NUMBER OF NODES> {count}\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n")
+        with pytest.raises(TNTPFormatError, match="line 1"):
+            parse_tntp_trips(f"<NUMBER OF ZONES> {count}\n<END OF METADATA>\n")
     with pytest.raises(TNTPFormatError):
         parse_tntp_network("<NUMBER OF NODES> 2\n<END OF METADATA>\n1 2 1 1 1 ;\n")
     with pytest.raises(TNTPFormatError):  # too few fields
@@ -172,6 +175,9 @@ def test_latency_model_max_slope():
 
 
 def test_network_invariants():
+    for fft, cap in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="and finite"):
+            Network(node_count=2, tails=[0], heads=[1], free_flow_time=[fft], capacity=[cap])
     with pytest.raises(ValueError, match="self-loops"):
         Network(node_count=2, tails=[0], heads=[0], free_flow_time=[1.0], capacity=[1.0])
     with pytest.raises(ValueError):

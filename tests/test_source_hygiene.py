@@ -1,12 +1,17 @@
 """Static checks on the package source, parsed with ast: no module keeps an
 unused top-level import or an unused module-level private name, and every
-name in privroute.__all__ resolves and is listed once."""
+name in privroute.__all__ resolves and is listed once. The benchmark scripts
+are parsed too, so that a rename of what they call fails here first."""
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import privroute
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "privroute"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "privroute"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _parse(path):
@@ -87,3 +92,83 @@ def test_package_all_resolves_once():
     assert not duplicates, f"listed twice in __all__: {duplicates}"
     missing = [name for name in names if not hasattr(privroute, name)]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def _resolve(dotted):
+    """The object a dotted privroute.… name refers to, importing submodules
+    that only their user imports; None when it does not resolve."""
+    obj = privroute
+    try:
+        for part in dotted.split(".")[1:]:
+            if inspect.ismodule(obj) and not hasattr(obj, part):
+                importlib.import_module(f"{obj.__name__}.{part}")
+            obj = getattr(obj, part)
+    except (AttributeError, ImportError):
+        return None
+    return obj
+
+
+def _chain(node):
+    """'a.b.c' for a Name/Attribute chain, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
+
+
+def test_benchmark_attribute_chains_resolve():
+    paths = sorted(PERFBENCH.glob("*.py"))
+    assert paths
+    chains = sorted(
+        (path.name, node.lineno, _chain(node))
+        for path in paths
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and _chain(node).startswith("privroute.")
+    )
+    assert chains
+    broken = [f"{name}:{line}: {chain}" for name, line, chain in chains if _resolve(chain) is None]
+    assert not broken, f"privroute names the benchmark uses that do not resolve: {broken}"
+
+
+def test_benchmark_traced_names_exist():
+    # tracing.TIMED and the ANNOTATE keys name module-level functions or
+    # METHODS entries, and each ANNOTATE lambda reads a["..."] only for
+    # parameters of its function
+    constants = {
+        t.id: node.value
+        for node in _parse(PERFBENCH / "tracing.py").body if isinstance(node, ast.Assign)
+        for t in node.targets if isinstance(t, ast.Name)
+    }
+    methods = {
+        f"{module}.{cls}.{method}"
+        for module, entries in ast.literal_eval(constants["METHODS"]).items()
+        for cls, method in entries
+    }
+    annotate = constants["ANNOTATE"]
+    readers = {ast.literal_eval(key): value for key, value in zip(annotate.keys, annotate.values)}
+    timed = ast.literal_eval(constants["TIMED"])
+    assert methods and readers and timed
+    problems = [
+        f"METHODS: {name} is not a method"
+        for name in sorted(methods) if not inspect.isfunction(_resolve(f"privroute.{name}"))
+    ]
+    for name in sorted(set(timed) | set(readers)):
+        fn = _resolve(f"privroute.{name}")
+        module = "privroute." + name.split(".")[0]
+        if name not in methods and not (inspect.isfunction(fn) and fn.__module__ == module):
+            problems.append(f"{name} is not a module-level function of {module}")
+            continue
+        if name in readers and fn is not None:
+            reader = readers[name]
+            bound = reader.args.args[0].arg
+            read = {
+                ast.literal_eval(node.slice)
+                for node in ast.walk(reader.body)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == bound
+            }
+            missing = sorted(read - set(inspect.signature(fn).parameters))
+            if missing:
+                problems.append(f"ANNOTATE: {name} has no parameter {missing}")
+    assert not problems, problems
