@@ -53,7 +53,6 @@ from .dp_sgd import (
 from .baseline import detect_od_presence, frank_wolfe_solve, standard_feasible_flow
 from .audit import (
     ImpossibilityReport,
-    SensitivityAuditConfig,
     SensitivityReport,
     audit_sensitivity,
     demo_impossibility,
@@ -108,7 +107,6 @@ __all__ = [
     "frank_wolfe_solve",
     "standard_feasible_flow",
     "ImpossibilityReport",
-    "SensitivityAuditConfig",
     "SensitivityReport",
     "audit_sensitivity",
     "demo_impossibility",

@@ -17,28 +17,8 @@ import numpy as np
 
 from . import demand as demand_mod
 from .baseline import detect_od_presence, standard_feasible_flow
-from .dp_sgd import STEP_PROJECTION_TOL, descend, sensitivity_bound
-from .flow_polytope import FlowProjector, initial_shortest_path_policy
+from .dp_sgd import sensitivity_bound
 from .objective import compute_constants
-
-
-@dataclass(frozen=True)
-class SensitivityAuditConfig:
-    """Inputs of one audit campaign.
-
-    mean_demand entries set the scale of the sampled datasets; alpha and the
-    period length feed the constants; step_tol is the per-iteration
-    projection tolerance whose accumulated slack the pass criterion allows.
-    """
-
-    network: object
-    latency: object
-    mean_demand: np.ndarray
-    n_days: int
-    period_minutes: float
-    alpha: float
-    seed: int = 0
-    step_tol: float = STEP_PROJECTION_TOL
 
 
 @dataclass(frozen=True)
@@ -91,26 +71,28 @@ class SensitivityReport:
         return buf.getvalue()
 
 
-def audit_sensitivity(config, trials):
+def audit_sensitivity(pipeline, trials):
     """Measure final-iterate shifts over random adjacent dataset pairs.
 
-    Each trial samples a dataset, perturbs one uniformly chosen (day, od)
-    entry by one request, runs the solver's deterministic part on both, and
-    records the shift-to-bound ratio. Passes when the largest ratio stays
-    below 1 plus the accumulated projection slack; passes strictly when
-    every shift stays within its bound with no slack.
+    Each trial samples a dataset from the pipeline's instance, perturbs one
+    uniformly chosen (day, od) entry by one request, runs the pipeline's
+    noise-free descent on both, and records the shift-to-bound ratio. The
+    config supplies N, the period, alpha, the step tolerance and, through
+    its dataset seed, the audit's random stream. Passes when the largest
+    ratio stays below 1 plus the accumulated projection slack; passes
+    strictly when every shift stays within its bound with no slack.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    network = config.network
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.seed, 0xA0D17))))
-    projector = FlowProjector(network)
-    x0 = initial_shortest_path_policy(network)
-    pairs = projector.routable_pairs()
+    config, instance = pipeline.config, pipeline.instance
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence((config.dataset_seed, 0xA0D17)))
+    )
+    pairs = pipeline.projector.routable_pairs()
     rows = []
     for trial in range(trials):
         dataset = demand_mod.sample_dataset(
-            config.mean_demand,
+            instance.mean_demand,
             config.n_days,
             config.period_minutes,
             seed=int(rng.integers(2**31)),
@@ -121,16 +103,13 @@ def audit_sensitivity(config, trials):
 
         lam_bound = max(demand_mod.lambda_max(dataset), demand_mod.lambda_max(adjacent))
         constants = compute_constants(
-            network, config.latency, lam_bound, config.alpha, config.period_minutes
+            instance.network, instance.latency, lam_bound, config.alpha, config.period_minutes
         )
         bound = sensitivity_bound(constants, config.n_days)
-        x_a, _, _ = descend(
-            dataset, network, config.latency, constants, x0,
-            projector=projector, step_tol=config.step_tol,
-        )
-        x_b, _, _ = descend(
-            adjacent, network, config.latency, constants, x0,
-            projector=projector, step_tol=config.step_tol,
+        # the traces are discarded; the final iterate does not depend on them
+        x_a, x_b = (
+            pipeline.descend(twin, demand_mod.average_demand(twin), constants)[0]
+            for twin in (dataset, adjacent)
         )
         distance = float(np.linalg.norm(x_a - x_b))
         rows.append(

@@ -6,13 +6,14 @@ Exit codes: 0 success, 1 input/usage error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .audit import SensitivityAuditConfig, audit_sensitivity, demo_impossibility
+from .audit import audit_sensitivity, demo_impossibility
 from .dp_sgd import PrivacyParams, private_sgd
 from .flow_polytope import ProjectionConvergenceError, decompose_flow
 from .harness import (
@@ -39,7 +40,7 @@ def _load_config(args):
     else:
         config = ExperimentConfig.from_json(Path(args.config).read_text())
     if getattr(args, "seed", None) is not None:
-        config.dataset_seed = args.seed
+        config = dataclasses.replace(config, dataset_seed=args.seed)
     return config
 
 
@@ -99,18 +100,7 @@ def _cmd_solve_baseline(args):
 def _cmd_audit(args):
     config = _load_config(args)
     out_dir = output_dir(args.out_dir)
-    instance = load_instance(config)
-    audit_config = SensitivityAuditConfig(
-        network=instance.network,
-        latency=instance.latency,
-        mean_demand=instance.mean_demand,
-        n_days=config.n_days,
-        period_minutes=config.period_minutes,
-        alpha=config.alpha,
-        seed=config.dataset_seed,
-        step_tol=config.step_tol,
-    )
-    report = audit_sensitivity(audit_config, trials=args.trials)
+    report = audit_sensitivity(Pipeline(config), trials=args.trials)
     (out_dir / "sensitivity_audit.csv").write_text(report.to_csv())
     write_metadata(out_dir, "audit", config, trials=args.trials, max_ratio=report.max_ratio,
                    passed=report.passed)

@@ -1,6 +1,6 @@
 """Experiment orchestration: configuration, instance loading, the solve
-pipeline that the CLI and the experiments share, and the three CSV-producing
-experiments (convergence, privacy cost, sensitivity sweeps).
+pipeline that the CLI, the experiments and the audit share, and the three
+CSV-producing experiments (convergence, privacy cost, sensitivity sweeps).
 
 Unit conventions of the default configuration: demand rates are requests per
 minute (trips files are hourly and divided by 60 at parse time); the
@@ -62,9 +62,15 @@ _RULES = {
     ),
     "delta": _FRACTION,
     "delta_grid": _FRACTION,
-    "noise_seeds": (lambda v: v >= 0, ">= 0"),
-    "noise_scale_override": (lambda v: v is None or v >= 0, "nonnegative"),
+    **dict.fromkeys(("dataset_seed", "noise_seeds"), (lambda v: v >= 0, ">= 0")),
+    "noise_scale_override": (lambda v: v >= 0, "nonnegative"),
 }
+_PATHS = ("net_path", "trips_path")
+_GRIDS = ("n_grid", "epsilon_grid", "delta_grid", "alpha_grid", "factor_grid", "scale_grid",
+          "noise_seeds")
+# Fields and grids of integers; every other field but the paths holds numbers,
+# of which integers are a special case.
+_INTEGERS = ("n_days", "n_grid", "max_fw_iters", "dataset_seed", "noise_seeds")
 
 
 @dataclass
@@ -97,19 +103,33 @@ class ExperimentConfig:
     noise_scale_override: float | None = None  # None = calibrated sigma; 0 disables noise
 
     def __post_init__(self):
-        for name in ("n_grid", "epsilon_grid", "delta_grid", "alpha_grid", "factor_grid", "scale_grid", "noise_seeds"):
-            value = tuple(getattr(self, name))
-            if not value:
-                raise ValueError(f"{name} must be nonempty")
-            setattr(self, name, value)
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+            name, value = f.name, getattr(self, f.name)
+            if name in _PATHS:
+                if not isinstance(value, str):
+                    raise ValueError(f"{name} must be a string, not {value!r}")
+                continue
+            if name == "noise_scale_override" and value is None:
+                continue
+            if name in _GRIDS:
+                # a string would pass tuple() as a grid of characters
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{name} must be a list, not {value!r}")
+                if not value:
+                    raise ValueError(f"{name} must be nonempty")
+                value = tuple(value)
+                setattr(self, name, value)
             values = value if isinstance(value, tuple) else (value,)
+            kind, noun = (int, "an integer") if name in _INTEGERS else ((int, float), "a number")
+            for v in values:
+                # bool is an int subclass, but JSON's true is not a number
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ValueError(f"{name}: {v!r} is not {noun}")
             # JSON admits NaN and Infinity, which pass every comparison below
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ValueError(f"{f.name} must be finite")
-            if f.name in _RULES and not all(map(_RULES[f.name][0], values)):
-                raise ValueError(f"{f.name} must be {_RULES[f.name][1]}")
+                raise ValueError(f"{name} must be finite")
+            if name in _RULES and not all(map(_RULES[name][0], values)):
+                raise ValueError(f"{name} must be {_RULES[name][1]}")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -117,6 +137,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -183,14 +205,16 @@ class Pipeline:
     """The method's steps on one configured instance: sample the days, descend
     from the free-flow start, solve the Frank-Wolfe baseline.
 
-    The projector and the start depend only on the topology and the free-flow
-    times, so they are built once and shared by every scenario. The projector
-    is built on first use, so a run that only solves the baseline builds none.
+    The instance is loaded from the config's files unless one is given, which
+    is then used as is. The projector and the start depend only on the
+    topology and the free-flow times, so they are built once and shared by
+    every scenario. The projector is built on first use, so a run that only
+    solves the baseline builds none.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, instance=None):
         self.config = config
-        self.instance = load_instance(config)
+        self.instance = load_instance(config) if instance is None else instance
         self.x0 = initial_shortest_path_policy(self.instance.network)
 
     @functools.cached_property
@@ -199,7 +223,8 @@ class Pipeline:
 
     def scenario(self, **changes):
         """This pipeline with the given config fields changed, such as the latency
-        factor; the start and projector are shared, so keep the free-flow network."""
+        factor, and its instance reloaded from the config's files; the start and
+        projector are shared, so keep the free-flow network."""
         scenario = copy.copy(self)
         scenario.config = dataclasses.replace(self.config, **changes)
         scenario.instance = load_instance(scenario.config)

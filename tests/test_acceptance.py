@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from privroute.audit import SensitivityAuditConfig, audit_sensitivity, demo_impossibility
+from privroute.audit import audit_sensitivity, demo_impossibility
 from privroute.baseline import frank_wolfe_solve
 from privroute.cli import main as cli_main
 from privroute.demand import average_demand, lambda_max, sample_dataset
@@ -25,7 +25,14 @@ from privroute.flow_polytope import (
     project_unit_flow,
     shortest_path_flow,
 )
-from privroute.harness import ExperimentConfig, load_instance, run_convergence, run_privacy_cost
+from privroute.harness import (
+    ExperimentConfig,
+    Instance,
+    Pipeline,
+    load_instance,
+    run_convergence,
+    run_privacy_cost,
+)
 from privroute.net_model import LatencyModel, Network, affine_latency_from
 from privroute.objective import (
     compute_constants,
@@ -65,14 +72,9 @@ def test_criterion_1_sensitivity_bound():
     started = time.time()
     worst = {}
     for n_days in (10, 50):
-        config = SensitivityAuditConfig(
-            network=net,
-            latency=lat,
-            mean_demand=demand,
-            n_days=n_days,
-            period_minutes=60.0,
-            alpha=1.0,
-            seed=2024,
+        config = Pipeline(
+            ExperimentConfig(n_days=n_days, alpha=1.0, period_minutes=60.0, dataset_seed=2024),
+            Instance(net, lat, demand),
         )
         rep = audit_sensitivity(config, trials=20)
         assert rep.passed, f"sensitivity bound violated at N={n_days}: max ratio {rep.max_ratio}"

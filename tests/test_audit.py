@@ -2,32 +2,24 @@ import numpy as np
 import pytest
 
 from privroute import audit
-from privroute.audit import (
-    SensitivityAuditConfig,
-    audit_sensitivity,
-    demo_impossibility,
-)
+from privroute.audit import audit_sensitivity, demo_impossibility
 from privroute.demand import sample_dataset
 from privroute.dp_sgd import descend, sensitivity_bound
 from privroute.flow_polytope import FlowProjector, initial_shortest_path_policy
+from privroute.harness import ExperimentConfig, Instance, Pipeline
 from privroute.net_model import affine_latency_from
 from privroute.objective import compute_constants
 
 
-def make_audit_config(ring5, ring5_demand, n_days=10, alpha=1.0):
-    return SensitivityAuditConfig(
-        network=ring5,
-        latency=affine_latency_from(ring5, 2.0),
-        mean_demand=ring5_demand,
-        n_days=n_days,
-        period_minutes=60.0,
-        alpha=alpha,
-        seed=17,
+def make_audit_pipeline(ring5, ring5_demand, n_days=10, alpha=1.0):
+    return Pipeline(
+        ExperimentConfig(n_days=n_days, alpha=alpha, period_minutes=60.0, dataset_seed=17),
+        Instance(ring5, affine_latency_from(ring5, 2.0), ring5_demand),
     )
 
 
 def test_audit_passes_on_ring(ring5, ring5_demand):
-    report = audit_sensitivity(make_audit_config(ring5, ring5_demand), trials=6)
+    report = audit_sensitivity(make_audit_pipeline(ring5, ring5_demand), trials=6)
     assert report.passed
     assert len(report.trials) == 6
     assert report.max_ratio <= 1.0 + report.slack
@@ -36,7 +28,7 @@ def test_audit_passes_on_ring(ring5, ring5_demand):
 
 
 def test_audit_csv_shape(ring5, ring5_demand):
-    report = audit_sensitivity(make_audit_config(ring5, ring5_demand), trials=3)
+    report = audit_sensitivity(make_audit_pipeline(ring5, ring5_demand), trials=3)
     lines = report.to_csv().strip().splitlines()
     assert lines[0] == "trial,t,o,d,distance,bound,ratio"
     assert len(lines) == 5  # header + 3 trials + summary
@@ -45,15 +37,41 @@ def test_audit_csv_shape(ring5, ring5_demand):
 
 
 def test_audit_strict_verdict(ring5, ring5_demand, monkeypatch):
-    config = make_audit_config(ring5, ring5_demand)
-    report = audit_sensitivity(config, trials=3)
+    pipeline = make_audit_pipeline(ring5, ring5_demand)
+    report = audit_sensitivity(pipeline, trials=3)
     assert report.strict_passed
     assert report.to_csv().strip().splitlines()[-1].endswith(",PASS,strict=PASS")
     # bounds a millionth of the true ones: every nonzero shift exceeds them
     monkeypatch.setattr(audit, "sensitivity_bound", lambda *args: 1e-6 * sensitivity_bound(*args))
-    report = audit_sensitivity(config, trials=3)
+    report = audit_sensitivity(pipeline, trials=3)
     assert not report.strict_passed
     assert report.to_csv().strip().splitlines()[-1].endswith("strict=FAIL")
+
+
+def test_audit_runs_on_the_pipeline_projector_and_start(ring5, ring5_demand, monkeypatch):
+    import sys
+
+    calls = []
+
+    class RecordingProjector(FlowProjector):
+        def project_policy(self, *args, **kwargs):
+            calls.append(1)
+            return super().project_policy(*args, **kwargs)
+
+    def no_start(*args):
+        raise AssertionError("the audit built a start of its own")
+
+    def no_projector(self, *args):
+        raise AssertionError("the audit built a projector of its own")
+
+    pipeline = make_audit_pipeline(ring5, ring5_demand, n_days=4)
+    pipeline.projector = RecordingProjector(ring5)
+    monkeypatch.setattr(FlowProjector, "__init__", no_projector)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "privroute" and hasattr(module, "initial_shortest_path_policy"):
+            monkeypatch.setattr(module, "initial_shortest_path_policy", no_start)
+    audit_sensitivity(pipeline, trials=3)
+    assert len(calls) == 2 * 4 * 3  # one projection per day of each twin descent
 
 
 def test_identical_datasets_zero_distance(ring5, ring5_demand):
@@ -106,4 +124,4 @@ def test_demo_impossibility_with_background_demand(ring5):
 
 def test_audit_trials_validation(ring5, ring5_demand):
     with pytest.raises(ValueError):
-        audit_sensitivity(make_audit_config(ring5, ring5_demand), trials=0)
+        audit_sensitivity(make_audit_pipeline(ring5, ring5_demand), trials=0)

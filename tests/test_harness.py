@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +304,16 @@ def test_cli_audit(tiny_config, tmp_path):
     assert len(lines) == 5
 
 
+def test_cli_audit_bytes_are_pinned(tiny_config, tmp_path):
+    # the SHA-256 of the audit CSV the standalone audit wrote before it ran
+    # on the shared pipeline
+    cfg = write_config(tmp_path, tiny_config)
+    out = tmp_path / "audit"
+    assert cli_main(["audit", "--config", cfg, "--out-dir", str(out), "--trials", "3"]) == 0
+    digest = hashlib.sha256((out / "sensitivity_audit.csv").read_bytes()).hexdigest()
+    assert digest == "8b02b4f7d17723f2fa27b2e85a80ace6f2e919db6874bfcaa0fcd3a064a668be"
+
+
 def test_cli_demo_impossibility(tiny_config, tmp_path):
     cfg = write_config(tmp_path, tiny_config)
     out = tmp_path / "demo"
@@ -467,6 +479,47 @@ def test_config_rejects_non_finite_values(tiny_config, tmp_path):
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(text)
         assert cli_main(["solve-private", "--config", str(cfg), "--out-dir", str(tmp_path / key)]) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "a config must be a JSON object, not list"),
+        ('{"n_days": "abc"}', "n_days: 'abc' is not an integer"),
+        ('{"n_days": 2.5}', "n_days: 2.5 is not an integer"),
+        ('{"n_days": true}', "n_days: True is not an integer"),
+        ('{"n_grid": 5}', "n_grid must be a list, not 5"),
+        ('{"dataset_seed": 1.5}', "dataset_seed: 1.5 is not an integer"),
+        ('{"noise_seeds": [1.5]}', "noise_seeds: 1.5 is not an integer"),
+        ('{"alpha": "abc"}', "alpha: 'abc' is not a number"),
+        ('{"epsilon_grid": [0.1, false]}', "epsilon_grid: False is not a number"),
+        ('{"net_path": 3}', "net_path must be a string, not 3"),
+    ],
+    ids=["top-level-list", "string-count", "fractional-count", "bool-count", "scalar-grid",
+         "fractional-seed", "fractional-grid-seed", "string-number", "bool-grid-number",
+         "number-path"],
+)
+def test_config_rejects_wrong_types(tmp_path, capsys, text, message):
+    # each of these crashed with a TypeError traceback instead of an input error
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_json(text)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    for command in ("solve-baseline", "solve-private"):
+        assert cli_main([command, "--config", str(cfg), "--out-dir", str(tmp_path / command)]) == 1
+        assert f"input error: {message}" in capsys.readouterr().err
+
+
+def test_config_keeps_integer_literals(tmp_path, capsys):
+    # an integer is a valid number and stays an integer, so the resolved
+    # config, and with it every metadata file, keeps the user's literal
+    config = ExperimentConfig.from_json('{"alpha": 1, "noise_scale_override": 0}')
+    assert type(config.alpha) is int and type(config.noise_scale_override) is int
+    assert '"alpha": 1,' in config.to_json()
+    # --seed goes through the same checks as the config file
+    out = tmp_path / "out"
+    assert cli_main(["solve-baseline", "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert "input error: dataset_seed must be >= 0" in capsys.readouterr().err
 
 
 def test_solve_baseline_builds_start_once(tiny_config, monkeypatch):
