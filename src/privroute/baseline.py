@@ -2,16 +2,19 @@
 
 Frank-Wolfe exploits that every linearized subproblem over the policy set
 splits into per-pair minimum-cost unit flows; the linearization coefficients
-are nonnegative here, so each subproblem is solved by a shortest path, and
-initial_shortest_path_policy solves all pairs at once. The duality gap at the
-last iterate certifies suboptimality for the convex objective.
-"""
+are nonnegative here, so each subproblem is solved by a shortest path. The
+vertex S is kept as its support, the (row, edge) entries of those paths, so
+the duality gap, the exact line search and the cost read the edge flows y
+and y_S and the iterate on the support (Jaggi, ICML 2013); no gradient,
+vertex or direction array is formed. The duality gap at the last iterate
+certifies suboptimality for the convex objective."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
-from .flow_polytope import UnreachablePairError, initial_shortest_path_policy
-from .objective import edge_costs_and_gradient, regularized_cost
+from .flow_polytope import UnreachablePairError, _tree_support, initial_shortest_path_policy
 
 
 def frank_wolfe_solve(
@@ -24,43 +27,55 @@ def frank_wolfe_solve(
     max_iters; the gap is reported either way. Step lengths come from exact
     line search on the quadratic objective, falling back to 2 / (j + 2) when
     the directional curvature vanishes. The start is the free-flow
-    shortest-path policy; a caller that already built it passes it as x0.
+    shortest-path policy; a caller that already built it passes it as x0,
+    which is copied, never written. A negative or non-finite alpha, gap_tol
+    or demand rate raises ValueError, naming the first bad pair (1-based).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
+    if not (0 <= alpha < math.inf):
+        raise ValueError("alpha must be nonnegative and finite")
+    if not (0 < gap_tol < math.inf):
+        raise ValueError("gap_tol must be positive and finite")
     demand = np.asarray(demand, dtype=float)
     n = network.node_count
     demand_vec = demand.reshape(n * n)
+    bad = np.flatnonzero(~((demand_vec >= 0) & (demand_vec < math.inf)))
+    if bad.size:
+        (o, d), rate = divmod(int(bad[0]), n), demand_vec[bad[0]]
+        raise ValueError(f"demand of pair ({o + 1}, {d + 1}) is {rate}, not a nonnegative finite rate")
     positive = np.nonzero(demand_vec)[0]
-    slope = latency.slope
+    slope, free_flow = latency.slope, latency.free_flow
 
-    X = initial_shortest_path_policy(network) if x0 is None else x0
+    X = initial_shortest_path_policy(network) if x0 is None else np.array(x0, dtype=float)
     unserved = positive[~X.any(axis=1)[positive]]  # the start routes every routable pair
     if unserved.size:
         o, d = divmod(int(unserved[0]), n)
         raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
 
+    y = demand_vec @ X  # the edge flow L X, updated with X
     trace = []
     for j in range(max_iters):
-        edge_costs, G = edge_costs_and_gradient(X, demand, latency, alpha)
-        # at alpha = 0 every block of G is a nonnegative multiple of the
-        # shared edge costs, so one tree per origin covers all pairs
-        S = initial_shortest_path_policy(network, G if alpha else edge_costs)
-        D = S - X
-        gap = float(-np.sum(G * D))
-        cost = regularized_cost(X, demand, latency, alpha)
+        edge_costs = 2.0 * slope * y + free_flow
+        # the gradient block of pair od is L(o,d) edge_costs + alpha X[od]; at
+        # alpha = 0 it is a nonnegative multiple of the shared edge costs, so
+        # one tree per origin covers all pairs
+        costs = np.outer(demand_vec, edge_costs) + alpha * X if alpha else edge_costs
+        rows, edges = _tree_support(network, costs)
+        square = float(np.vdot(X, X)) if alpha else 0.0  # ||X||^2
+        x_s = X[rows, edges]
+        overlap = float(x_s.sum())  # <X, S>; S is 0/1, so ||S||^2 = rows.size
+        y_dir = np.bincount(edges, weights=demand_vec[rows], minlength=y.size) - y  # L (S - X)
+        gap = float(-(edge_costs @ y_dir)) + alpha * (square - overlap)
+        cost = float(y @ (slope * y + free_flow)) + 0.5 * alpha * square
         trace.append((j, gap, cost))
         if gap <= gap_tol:
             break
-        y_dir = demand_vec @ D
-        curvature = float(y_dir @ (slope * y_dir)) + 0.5 * alpha * float(np.sum(D * D))
-        if curvature > 0:
-            gamma = min(1.0, gap / (2.0 * curvature))
-        else:
-            gamma = 2.0 / (j + 2.0)
-        X = X + gamma * D
+        # ||S - X||^2 = ||S||^2 - 2 <X, S> + ||X||^2
+        curvature = float(y_dir @ (slope * y_dir)) + 0.5 * alpha * (rows.size - 2.0 * overlap + square)
+        gamma = min(1.0, gap / (2.0 * curvature)) if curvature > 0 else 2.0 / (j + 2.0)
+        # X + gamma (S - X), in place
+        X *= 1.0 - gamma
+        X[rows, edges] = x_s + gamma * (1.0 - x_s)
+        y += gamma * y_dir
     return X, trace
 
 

@@ -356,20 +356,13 @@ def shortest_path_flow(od, edge_costs, network):
     return flow
 
 
-def initial_shortest_path_policy(network, edge_costs=None):
-    """All-or-nothing policy: every od block on its cheapest path.
-
-    edge_costs is one (m,) vector shared by all blocks, free-flow times by
-    default, or one cost row per block, of shape (n*n, m). Paths and ties are
-    those of shortest_path_tree. Diagonal blocks stay zero, as do blocks of
-    pairs with no finite-cost path (matching the projector's convention).
-    Shared costs take one tree per origin, per-block costs one tree per
-    off-diagonal block, stored at the block's row. Then all reached pairs
-    walk back from their destinations together, one edge per pair and step,
-    until each reaches its origin.
-    """
-    costs = np.asarray(network.free_flow_time if edge_costs is None else edge_costs, dtype=float)
-    n, m = network.node_count, network.edge_count
+def _tree_support(network, costs):
+    # (rows, edges) of the tree path of every off-diagonal pair that the trees
+    # reach, each entry once: shared (m,) costs take one tree per origin,
+    # per-block (n*n, m) costs one tree per off-diagonal block, stored at the
+    # block's row. All reached pairs then walk back from their destinations
+    # together, one edge per pair and step, until each reaches its origin.
+    n = network.node_count
     off_diagonal = ~np.eye(n, dtype=bool)
     per_block = costs.ndim == 2
     if per_block:
@@ -382,13 +375,27 @@ def initial_shortest_path_policy(network, edge_costs=None):
         dist, pred_edge = _dijkstra(range(n), costs, network)
     o, cur = np.nonzero(np.isfinite(dist) & off_diagonal)  # row-major
     rows = pair_index(o, cur, n)
-    policy = np.zeros((n * n, m))
+    walked = [(rows[:0], rows[:0])]
     while rows.size:
         e = pred_edge[rows if per_block else o, cur]
-        policy[rows, e] = 1.0
+        walked.append((rows, e))
         cur = network.tails[e]
         more = cur != o
         rows, o, cur = rows[more], o[more], cur[more]
+    return tuple(map(np.concatenate, zip(*walked)))
+
+
+def initial_shortest_path_policy(network, edge_costs=None):
+    """All-or-nothing policy: every od block on its cheapest path.
+
+    edge_costs is one (m,) vector shared by all blocks, free-flow times by
+    default, or one cost row per block, of shape (n*n, m). Paths and ties are
+    those of shortest_path_tree. Diagonal blocks stay zero, as do blocks of
+    pairs with no finite-cost path (matching the projector's convention).
+    """
+    costs = np.asarray(network.free_flow_time if edge_costs is None else edge_costs, dtype=float)
+    policy = np.zeros((network.node_count ** 2, network.edge_count))
+    policy[_tree_support(network, costs)] = 1.0
     return policy
 
 

@@ -423,21 +423,27 @@ def run_privacy_cost(config, out_dir):
     return out_dir / "privacy_cost.csv"
 
 
-def _sweep_rows(pipeline, alphas):
+def _sweep_rows(pipeline, alphas, ratios):
     """Cost-ratio rows (parameter, iteration, ratio) of one scenario.
 
     alphas pairs each reported parameter with the regularizer its descent
     uses. The dataset and the unregularized baseline do not depend on alpha,
-    so they are built once per scenario.
+    so they are built once per scenario. ratios maps (config JSON, alpha) to
+    the ratio trace of every run so far; a run whose config equals one
+    already made, such as the base point that all three sweeps share, reuses
+    its trace.
     """
-    dataset, avg = pipeline.sample()
-    base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, pipeline.instance.latency)
-    rows = []
-    for parameter, alpha in alphas:
-        constants = resolve_constants(pipeline.config, pipeline.instance, dataset, alpha=alpha)
-        _, _, travel_trace = pipeline.descend(dataset, avg, constants)
-        rows.extend((parameter, k, cost / base_cost) for k, cost in enumerate(travel_trace))
-    return rows
+    key = pipeline.config.to_json()
+    todo = [alpha for _, alpha in alphas if (key, alpha) not in ratios]
+    if todo:
+        dataset, avg = pipeline.sample()
+        base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, pipeline.instance.latency)
+        for alpha in todo:
+            constants = resolve_constants(pipeline.config, pipeline.instance, dataset, alpha=alpha)
+            _, _, travel_trace = pipeline.descend(dataset, avg, constants)
+            ratios[key, alpha] = [cost / base_cost for cost in travel_trace]
+    return [(parameter, k, ratio) for parameter, alpha in alphas
+            for k, ratio in enumerate(ratios[key, alpha])]
 
 
 def run_sensitivity_sweep(config, out_dir):
@@ -446,17 +452,19 @@ def run_sensitivity_sweep(config, out_dir):
     constants are recomputed for every scenario."""
     out_dir = output_dir(out_dir)
     pipeline = Pipeline(config)
+    ratios = {}
+    alphas = [(alpha, alpha) for alpha in config.alpha_grid]
     sweeps = {
-        "sweep_alpha": _sweep_rows(pipeline, [(alpha, alpha) for alpha in config.alpha_grid]),
+        "sweep_alpha": _sweep_rows(pipeline, alphas, ratios),
         "sweep_latency": [],
         "sweep_demand": [],
     }
     for factor in config.factor_grid:
         scenario = pipeline.scenario(sensitivity_factor=factor)
-        sweeps["sweep_latency"] += _sweep_rows(scenario, [(factor, config.sweep_alpha)])
+        sweeps["sweep_latency"] += _sweep_rows(scenario, [(factor, config.sweep_alpha)], ratios)
     for scale in config.scale_grid:
         scenario = pipeline.scenario(demand_scale=scale)
-        sweeps["sweep_demand"] += _sweep_rows(scenario, [(scale, config.sweep_alpha)])
+        sweeps["sweep_demand"] += _sweep_rows(scenario, [(scale, config.sweep_alpha)], ratios)
     paths = []
     for name, rows in sweeps.items():
         path = out_dir / f"{name}.csv"

@@ -75,25 +75,18 @@ def regularized_cost(x, demand, latency, alpha):
     return travel_time_cost(X, demand, latency) + 0.5 * alpha * float(np.sum(X * X))
 
 
-def edge_costs_and_gradient(x, demand, latency, alpha):
-    """Marginal edge costs 2 Q y + c and the gradient built from them.
+def gradient(x, demand, latency, alpha):
+    """Gradient of the regularized cost, stacked like the policy.
 
-    Gradient block (o, d) equals L(o,d) * (2 Q y + c) + alpha * X[od],
-    computed in O(n^2 m) via one outer product. At alpha = 0 every block is
-    a nonnegative multiple of the shared edge costs, which is what lets
-    Frank-Wolfe cover all pairs with one shortest-path tree per origin.
+    Block (o, d) equals L(o,d) * (2 Q y + c) + alpha * X[od], computed in
+    O(n^2 m) via one outer product.
     """
     demand = np.asarray(demand, dtype=float)
     n = demand.shape[0]
     X = _as_policy(x, n, np.asarray(x).size // (n * n))
     y = demand.reshape(n * n) @ X
     edge_costs = 2.0 * latency.slope * y + latency.free_flow
-    return edge_costs, np.outer(demand.reshape(n * n), edge_costs) + alpha * X
-
-
-def gradient(x, demand, latency, alpha):
-    """Gradient of the regularized cost, stacked like the policy."""
-    return edge_costs_and_gradient(x, demand, latency, alpha)[1]
+    return np.outer(demand.reshape(n * n), edge_costs) + alpha * X
 
 
 def demand_weight_top_eigenvalue(demand, latency):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from privroute.net_model import LatencyModel, Network
-from privroute.flow_polytope import pair_index, reachability
+from privroute.flow_polytope import initial_shortest_path_policy, pair_index, reachability
+from privroute.objective import gradient, regularized_cost, total_edge_flow
 
 
 @pytest.fixture
@@ -208,6 +209,25 @@ def random_policy(network, rng, max_paths=4):
     return policy
 
 
+def integer_grid(k, rng):
+    """k x k bidirectional grid with integer costs 1..3, so that many paths
+    tie exactly."""
+    edges = []
+    for u in range(k * k):
+        r, c = divmod(u, k)
+        for v in ([u + 1] if c + 1 < k else []) + ([u + k] if r + 1 < k else []):
+            edges += [(u, v), (v, u)]
+    order = rng.permutation(len(edges))  # edge indices unrelated to node order
+    edges = [edges[i] for i in order]
+    return Network(
+        node_count=k * k,
+        tails=[e[0] for e in edges],
+        heads=[e[1] for e in edges],
+        free_flow_time=rng.integers(1, 4, len(edges)).astype(float),
+        capacity=np.ones(len(edges)),
+    )
+
+
 def tuple_shortest_path_tree(source, edge_costs, network):
     """Dijkstra that carries every tentative path as a tuple of edge indices
     and breaks cost ties by comparing those tuples: the reference for the
@@ -257,6 +277,32 @@ def tuple_shortest_path_policy(network, edge_costs):
                 continue
             policy[pair_index(o, d, n), list(sequences[d])] = 1.0
     return policy
+
+
+def dense_frank_wolfe(demand, network, latency, alpha, gap_tol, max_iters):
+    """Frank-Wolfe on whole policy arrays: the gradient G, the vertex S and the
+    direction D are built every iteration, and the gap, the line search and
+    the cost are read from them. The reference for the support form of
+    frank_wolfe_solve; returns the same (policy, trace)."""
+    demand = np.asarray(demand, dtype=float)
+    demand_vec = demand.reshape(-1)
+    slope = latency.slope
+    X = initial_shortest_path_policy(network)
+    trace = []
+    for j in range(max_iters):
+        edge_costs = 2.0 * slope * total_edge_flow(X, demand) + latency.free_flow
+        G = gradient(X, demand, latency, alpha)
+        S = initial_shortest_path_policy(network, G if alpha else edge_costs)
+        D = S - X
+        gap = float(-np.sum(G * D))
+        trace.append((j, gap, regularized_cost(X, demand, latency, alpha)))
+        if gap <= gap_tol:
+            break
+        y_dir = demand_vec @ D
+        curvature = float(y_dir @ (slope * y_dir)) + 0.5 * alpha * float(np.sum(D * D))
+        gamma = min(1.0, gap / (2.0 * curvature)) if curvature > 0 else 2.0 / (j + 2.0)
+        X = X + gamma * D
+    return X, trace
 
 
 def qp_projection_oracle(v, od, network):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from privroute.flow_polytope import (
     initial_shortest_path_policy,
     pair_index,
 )
+from privroute.harness import ExperimentConfig, Pipeline
 from privroute.net_model import LatencyModel, affine_latency_from
 from privroute.objective import gradient, regularized_cost, travel_time_cost
-from conftest import conservation_residual, random_policy
+from conftest import conservation_residual, dense_frank_wolfe, integer_grid, random_policy
 
 
 def triangle_demand(rate=1.0):
@@ -170,3 +173,139 @@ def test_frank_wolfe_cap_out_reports_gap(triangle, triangle_latency):
     )
     assert len(trace) == 1
     assert trace[-1][1] > 0  # gap reported even on cap-out
+
+
+def diamond4_instance(diamond4):
+    lat = LatencyModel(slope=np.full(10, 0.3), free_flow=diamond4.free_flow_time)
+    demand = np.zeros((4, 4))
+    demand[0, 3] = 1.5
+    demand[3, 0] = 1.0
+    demand[1, 2] = 0.7
+    return demand, diamond4, lat
+
+
+def grid_instance():
+    # integer free-flow times and demands on a 3 x 3 grid: many exact ties
+    rng = np.random.default_rng(3)
+    grid = integer_grid(3, rng)
+    lat = LatencyModel(slope=rng.integers(1, 4, grid.edge_count) / 10.0, free_flow=grid.free_flow_time)
+    demand = rng.integers(0, 3, (9, 9)).astype(float)
+    np.fill_diagonal(demand, 0.0)
+    return demand, grid, lat
+
+
+def assert_traces_close(trace, reference, rel):
+    assert [row[0] for row in trace] == [row[0] for row in reference]
+    assert np.allclose(np.array(trace)[:, 1:], np.array(reference)[:, 1:], rtol=rel, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["sioux_falls", "grid", "diamond4"])
+def test_frank_wolfe_matches_dense_reference(case, sioux_falls, diamond4):
+    # the support form reads the gap, the line search and the cost from edge
+    # flows; it must follow the dense loop's iterates and stop at the same
+    # iteration under solve_baseline's relative tolerance
+    if case == "sioux_falls":
+        demand, network, latency = sioux_falls.mean_demand, sioux_falls.network, sioux_falls.latency
+    elif case == "grid":
+        demand, network, latency = grid_instance()
+    else:
+        demand, network, latency = diamond4_instance(diamond4)
+    x, trace = frank_wolfe_solve(demand, network, latency, gap_tol=1e-300, max_iters=8)
+    x_ref, trace_ref = dense_frank_wolfe(demand, network, latency, 0.0, 1e-300, 8)
+    assert np.abs(x - x_ref).max() <= 1e-12
+    assert_traces_close(trace, trace_ref, 1e-9)
+    gap_tol = 1e-4 * travel_time_cost(initial_shortest_path_policy(network), demand, latency)
+    _, trace = frank_wolfe_solve(demand, network, latency, gap_tol=gap_tol, max_iters=30000)
+    _, trace_ref = dense_frank_wolfe(demand, network, latency, 0.0, gap_tol, 30000)
+    assert len(trace) == len(trace_ref) > 1
+
+
+def test_regularized_frank_wolfe_matches_dense_reference(sioux_falls, diamond4, triangle,
+                                                         triangle_latency):
+    # alpha = 100: the per-block linear steps tie on zero-demand blocks, whose
+    # cost is alpha X[od] alone, so last-bit differences may pick another
+    # vertex later on. The first iterates agree; after that both solves must
+    # certify, and their bounds [cost - gap, cost] on the optimum must overlap
+    # up to rounding.
+    demand, network, latency = sioux_falls.mean_demand, sioux_falls.network, sioux_falls.latency
+    x, trace = frank_wolfe_solve(demand, network, latency, alpha=100.0, gap_tol=1e-300, max_iters=3)
+    x_ref, trace_ref = dense_frank_wolfe(demand, network, latency, 100.0, 1e-300, 3)
+    assert np.abs(x - x_ref).max() <= 1e-12
+    assert_traces_close(trace, trace_ref, 1e-12)
+    gap_tol = 1e-9
+    for demand, network, latency in [
+        diamond4_instance(diamond4),
+        (triangle_demand(), triangle, triangle_latency),
+    ]:
+        _, trace = frank_wolfe_solve(demand, network, latency, alpha=100.0, gap_tol=gap_tol,
+                                     max_iters=100000)
+        _, trace_ref = dense_frank_wolfe(demand, network, latency, 100.0, gap_tol, 100000)
+        (_, gap, cost), (_, gap_ref, cost_ref) = trace[-1], trace_ref[-1]
+        assert gap <= gap_tol and gap_ref <= gap_tol
+        slack = 1e-12 * cost_ref  # a gap at the optimum rounds to +-1e-14 here
+        assert cost - gap <= cost_ref + slack and cost_ref - gap_ref <= cost + slack
+
+
+def test_frank_wolfe_leaves_x0_untouched(sioux_falls):
+    # the solver updates its iterate in place; the caller's start, which the
+    # Pipeline shares between scenarios, must not change
+    x0 = initial_shortest_path_policy(sioux_falls.network)
+    before = x0.tobytes()
+    x, _ = frank_wolfe_solve(
+        sioux_falls.mean_demand, sioux_falls.network, sioux_falls.latency,
+        gap_tol=1e-300, max_iters=3, x0=x0,
+    )
+    assert x0.tobytes() == before and not np.array_equal(x, x0)
+    pipeline = Pipeline(ExperimentConfig(n_days=2), sioux_falls)
+    before = pipeline.x0.tobytes()
+    dataset, _ = pipeline.sample()
+    pipeline.baseline(dataset)
+    assert pipeline.x0.tobytes() == before
+
+
+def test_frank_wolfe_memory_is_one_policy_array(sioux_falls):
+    # the iterate is the only policy-sized array the alpha = 0 loop holds; a
+    # gradient, vertex or direction array would push the peak past 2.5
+    x0 = initial_shortest_path_policy(sioux_falls.network)
+    tracemalloc.start()
+    try:
+        frank_wolfe_solve(
+            sioux_falls.mean_demand, sioux_falls.network, sioux_falls.latency,
+            gap_tol=1e-300, max_iters=5, x0=x0,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x0.nbytes
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (np.nan, r"^demand of pair \(1, 3\) is nan, not a nonnegative finite rate$"),
+        (-1.0, r"^demand of pair \(1, 3\) is -1.0, not a nonnegative finite rate$"),
+        (np.inf, r"^demand of pair \(1, 3\) is inf, not a nonnegative finite rate$"),
+    ],
+)
+def test_frank_wolfe_rejects_bad_demand(triangle, triangle_latency, rate, message):
+    # a NaN rate ran every iteration to a trace of NaN gaps, and a negative
+    # one reported a gap that certifies nothing; the first bad pair in
+    # row-major order is named
+    demand = triangle_demand(rate)
+    demand[2, 1] = -2.0
+    with pytest.raises(ValueError, match=message):
+        frank_wolfe_solve(demand, triangle, triangle_latency, gap_tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"gap_tol": np.nan}, "gap_tol must be positive and finite"),
+        ({"gap_tol": 0.0}, "gap_tol must be positive and finite"),
+        ({"alpha": np.nan}, "alpha must be nonnegative and finite"),
+        ({"alpha": -1.0}, "alpha must be nonnegative and finite"),
+    ],
+)
+def test_frank_wolfe_rejects_bad_parameters(triangle, triangle_latency, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        frank_wolfe_solve(triangle_demand(), triangle, triangle_latency, **{"gap_tol": 1e-6, **kwargs})

@@ -18,12 +18,13 @@ from privroute.flow_polytope import (
 )
 from privroute.baseline import frank_wolfe_solve
 from privroute.net_model import Network
-from privroute.objective import edge_costs_and_gradient
+from privroute.objective import total_edge_flow
 from conftest import (
     conservation_residual,
     conservation_rhs,
     dykstra_reference,
     enumerate_simple_paths,
+    integer_grid,
     make_random_network,
     qp_projection_oracle,
     random_policy,
@@ -377,12 +378,22 @@ def test_initial_shortest_path_policy(triangle):
     assert np.all(x[pair_index(0, 0, 3)] == 0)
 
 
+def assert_support_is_policy(network, costs, policy):
+    """The support walk lists each nonzero entry of the all-or-nothing policy
+    exactly once: Frank-Wolfe reads ||S||^2 as its length."""
+    rows, edges = flow_polytope._tree_support(network, np.asarray(costs, dtype=float))
+    scattered = np.zeros_like(policy)
+    np.add.at(scattered, (rows, edges), 1.0)
+    assert np.array_equal(scattered, policy)
+
+
 def assert_matches_tuple_dijkstra(network, costs):
     """Trees, pair flows and the all-or-nothing policy are bitwise those of
     the tuple-sequence reference, from every source."""
     n, m = network.node_count, network.edge_count
     policy = initial_shortest_path_policy(network, costs)
     assert np.array_equal(policy, tuple_shortest_path_policy(network, costs))
+    assert_support_is_policy(network, costs, policy)
     for o in range(n):
         dist, pred_edge = shortest_path_tree(o, costs, network)
         ref_dist, ref_pred, sequences = tuple_shortest_path_tree(o, costs, network)
@@ -395,25 +406,6 @@ def assert_matches_tuple_dijkstra(network, costs):
                 assert np.array_equal(shortest_path_flow((o, d), costs, network), expected)
 
 
-def integer_grid(k, rng):
-    """k x k bidirectional grid with integer costs 1..3, so that many paths
-    tie exactly."""
-    edges = []
-    for u in range(k * k):
-        r, c = divmod(u, k)
-        for v in ([u + 1] if c + 1 < k else []) + ([u + k] if r + 1 < k else []):
-            edges += [(u, v), (v, u)]
-    order = rng.permutation(len(edges))  # edge indices unrelated to node order
-    edges = [edges[i] for i in order]
-    return Network(
-        node_count=k * k,
-        tails=[e[0] for e in edges],
-        heads=[e[1] for e in edges],
-        free_flow_time=rng.integers(1, 4, len(edges)).astype(float),
-        capacity=np.ones(len(edges)),
-    )
-
-
 def test_shortest_paths_match_tuple_reference_on_sioux_falls(sioux_falls):
     # free-flow times, then the marginal costs 2 Q y + c of the first five
     # Frank-Wolfe iterates
@@ -423,7 +415,7 @@ def test_shortest_paths_match_tuple_reference_on_sioux_falls(sioux_falls):
         X, _ = frank_wolfe_solve(
             sioux_falls.mean_demand, network, latency, gap_tol=1e-12, max_iters=iterations
         )
-        costs, _ = edge_costs_and_gradient(X, sioux_falls.mean_demand, latency, 0.0)
+        costs = 2.0 * latency.slope * total_edge_flow(X, sioux_falls.mean_demand) + latency.free_flow
         assert_matches_tuple_dijkstra(network, costs)
 
 
@@ -467,7 +459,7 @@ def test_regularized_frank_wolfe_digest_on_sioux_falls(sioux_falls):
     assert len(trace) == 15
     digest = hashlib.sha256(X.astype("<f8").tobytes())
     digest.update(np.array(trace, dtype="<f8").tobytes())
-    assert digest.hexdigest() == "764096bdf32326e315343de1ca63572f34f253a2c19a6a9bfdbf12a7aa81ee49"
+    assert digest.hexdigest() == "f76ae950ed554890ac8bb8441687e063e6fc0756d8ecf0d5ad5334d2bafdcb0e"
 
 
 def bfs_reachability(network):
@@ -534,6 +526,7 @@ def test_per_block_costs_match_per_pair_flows():
         net = random_sparse_digraph(rng, n, int(rng.integers(1, 3 * n)))
         costs = rng.integers(0, 3, (n * n, net.edge_count)).astype(float)
         policy = initial_shortest_path_policy(net, costs)
+        assert_support_is_policy(net, costs, policy)
         reach = reachability(net)
         for o in range(n):
             for d in range(n):

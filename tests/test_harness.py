@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -445,8 +446,9 @@ def test_cli_solve_private_honours_noise_scale_override(tiny_config, tmp_path):
 
 
 def test_sweep_solves_alpha_baseline_once(tiny_config, tmp_path, monkeypatch):
-    # the alpha grid shares one dataset and one unregularized baseline; each
-    # latency and demand scenario needs its own
+    # the alpha grid shares one dataset and one unregularized baseline, and a
+    # latency or demand scenario equal to the base config (factor 2.0, scale
+    # 1.0 in tiny_config) reuses its rows; any other scenario needs its own
     import privroute.harness as harness
 
     calls = []
@@ -457,8 +459,20 @@ def test_sweep_solves_alpha_baseline_once(tiny_config, tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(harness, "frank_wolfe_solve", counting)
-    run_sensitivity_sweep(tiny_config, tmp_path / "sw")
-    assert len(calls) == 1 + len(tiny_config.factor_grid) + len(tiny_config.scale_grid)
+    for factor_grid, solves in [((2.0,), 1), ((2.0, 3.0), 2)]:
+        config = dataclasses.replace(tiny_config, factor_grid=factor_grid)
+        out = tmp_path / f"sw{len(factor_grid)}"
+        calls.clear()
+        run_sensitivity_sweep(config, out)
+        assert len(calls) == solves
+        rows = {}
+        for name in ("sweep_alpha", "sweep_latency", "sweep_demand"):
+            with open(out / f"{name}.csv") as fh:
+                rows[name] = list(csv.reader(fh))[1:]
+        base = [row[1:] for row in rows["sweep_alpha"] if float(row[0]) == config.sweep_alpha]
+        assert [row[1:] for row in rows["sweep_demand"]] == base
+        assert [row[1:] for row in rows["sweep_latency"] if float(row[0]) == 2.0] == base
+        assert len(rows["sweep_latency"]) == len(factor_grid) * len(base)
 
 
 def test_config_rejects_non_finite_values(tiny_config, tmp_path):
