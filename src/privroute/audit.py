@@ -106,11 +106,7 @@ def audit_sensitivity(pipeline, trials):
             instance.network, instance.latency, lam_bound, config.alpha, config.period_minutes
         )
         bound = sensitivity_bound(constants, config.n_days)
-        # the traces are discarded; the final iterate does not depend on them
-        x_a, x_b = (
-            pipeline.descend(twin, demand_mod.average_demand(twin), constants)[0]
-            for twin in (dataset, adjacent)
-        )
+        x_a, x_b = (pipeline.descend(twin, constants) for twin in (dataset, adjacent))
         distance = float(np.linalg.norm(x_a - x_b))
         rows.append(
             SensitivityTrial(

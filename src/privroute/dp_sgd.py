@@ -49,7 +49,6 @@ class PrivateSolution:
     cost_trace: tuple
     travel_time_trace: tuple
     constants: object
-    privacy: PrivacyParams | None
 
 
 def step_size(k, alpha, beta):
@@ -136,6 +135,21 @@ def _check_feasible_start(x0, projector, tol=1e-6):
     return X
 
 
+class CostTrace:
+    """Step observer of descend that records each iterate's regularized cost
+    and travel time, at demand when one is given and at the day's own demand
+    otherwise."""
+
+    def __init__(self, latency, alpha, demand=None):
+        self.latency, self.alpha, self.demand = latency, alpha, demand
+        self.costs, self.travel_times = [], []
+
+    def __call__(self, k, X, demand):
+        where = demand if self.demand is None else self.demand
+        self.costs.append(regularized_cost(X, where, self.latency, self.alpha))
+        self.travel_times.append(travel_time_cost(X, where, self.latency))
+
+
 def descend(
     dataset,
     network,
@@ -145,33 +159,29 @@ def descend(
     *,
     projector=None,
     step_tol=STEP_PROJECTION_TOL,
-    trace_demand=None,
+    on_step=None,
 ):
-    """Run the N projected gradient steps of the private solver (no noise).
+    """Run the N projected gradient steps of the private solver (no noise) and
+    return the final iterate.
 
-    Each day's demand is read exactly once, in dataset order. Returns the
-    final iterate and the two cost traces (length N + 1, starting at x0).
+    Each day's demand is read exactly once, in dataset order. on_step, when
+    given, is called as on_step(k, X, demand): at k = 0 with the checked start
+    and day 1's demand, then after step k with its iterate and day k's demand.
     """
     if projector is None:
         projector = FlowProjector(network)
     X = _check_feasible_start(x0, projector)
     alpha, beta = constants.alpha, constants.beta
-
-    def record(X_now, lam):
-        where = lam if trace_demand is None else trace_demand
-        cost_trace.append(regularized_cost(X_now, where, latency, alpha))
-        travel_trace.append(travel_time_cost(X_now, where, latency))
-
-    cost_trace = []
-    travel_trace = []
     first_day = dataset.day(1)
-    record(X, first_day)
+    if on_step is not None:
+        on_step(0, X, first_day)
     for k in range(1, dataset.day_count + 1):
         lam = first_day if k == 1 else dataset.day(k)
         eta = step_size(k, alpha, beta)
         X = projector.project_policy(X - eta * gradient(X, lam, latency, alpha), tol=step_tol)
-        record(X, lam)
-    return X, tuple(cost_trace), tuple(travel_trace)
+        if on_step is not None:
+            on_step(k, X, lam)
+    return X
 
 
 def perturb_and_project(
@@ -218,15 +228,10 @@ def private_sgd(
     sigma = resolve_noise_scale(constants, dataset.day_count, privacy, noise_scale)
     if projector is None:
         projector = FlowProjector(network)
-    x_pre, cost_trace, travel_trace = descend(
-        dataset,
-        network,
-        latency,
-        constants,
-        x0,
-        projector=projector,
-        step_tol=step_tol,
-        trace_demand=trace_demand,
+    trace = CostTrace(latency, constants.alpha, trace_demand)
+    x_pre = descend(
+        dataset, network, latency, constants, x0, projector=projector, step_tol=step_tol,
+        on_step=trace,
     )
     x_alg = perturb_and_project(
         x_pre, sigma, seed, network, projector=projector, final_tol=final_tol
@@ -236,8 +241,7 @@ def private_sgd(
         x_alg=x_alg,
         sigma=sigma,
         seed=seed,
-        cost_trace=cost_trace,
-        travel_time_trace=travel_trace,
+        cost_trace=tuple(trace.costs),
+        travel_time_trace=tuple(trace.travel_times),
         constants=constants,
-        privacy=privacy,
     )

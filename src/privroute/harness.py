@@ -33,6 +33,7 @@ from .baseline import frank_wolfe_solve
 from .dp_sgd import (
     FINAL_PROJECTION_TOL,
     STEP_PROJECTION_TOL,
+    CostTrace,
     PrivacyParams,
     descend,
     perturb_and_project,
@@ -216,16 +217,27 @@ class Pipeline:
         self.config = config
         self.instance = load_instance(config) if instance is None else instance
         self.x0 = initial_shortest_path_policy(self.instance.network)
+        self._given_instance = instance is not None
+        self._base = None  # on a scenario, the pipeline whose projector it shares
 
     @functools.cached_property
     def projector(self):
+        if self._base is not None:
+            return self._base.projector
         return FlowProjector(self.instance.network)
 
     def scenario(self, **changes):
         """This pipeline with the given config fields changed, such as the latency
         factor, and its instance reloaded from the config's files; the start and
-        projector are shared, so keep the free-flow network."""
+        projector are shared, so keep the free-flow network. A pipeline built on
+        a given instance has no files to reload and makes no scenario."""
+        if self._given_instance:
+            raise ValueError(
+                "a scenario reloads the instance from the config's files; "
+                "this pipeline was built on a given instance"
+            )
         scenario = copy.copy(self)
+        scenario._base = self if self._base is None else self._base
         scenario.config = dataclasses.replace(self.config, **changes)
         scenario.instance = load_instance(scenario.config)
         return scenario
@@ -241,19 +253,13 @@ class Pipeline:
         )
         return dataset, demand_mod.average_demand(dataset)
 
-    def descend(self, dataset, avg, constants):
-        """The noise-free descent under the resolved constants, its costs traced
-        at avg: (x, regularized, travel time)."""
+    def descend(self, dataset, constants, on_step=None):
+        """The final iterate of the noise-free descent under the resolved
+        constants; on_step observes the iterates as in dp_sgd.descend."""
         instance = self.instance
         return descend(
-            dataset,
-            instance.network,
-            instance.latency,
-            constants,
-            self.x0,
-            projector=self.projector,
-            step_tol=self.config.step_tol,
-            trace_demand=avg,
+            dataset, instance.network, instance.latency, constants, self.x0,
+            projector=self.projector, step_tol=self.config.step_tol, on_step=on_step,
         )
 
     def baseline(self, dataset, alpha=0.0):
@@ -375,8 +381,9 @@ def run_convergence(config, out_dir):
         base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, latency)
         baseline_costs[str(n_days)] = base_cost
         constants = resolve_constants(config, pipeline.instance, dataset)
-        _, reg, raw = pipeline.descend(dataset, avg, constants)
-        for k, (r, rr) in enumerate(zip(raw, reg)):
+        trace = CostTrace(latency, constants.alpha, avg)
+        pipeline.descend(dataset, constants, on_step=trace)
+        for k, (r, rr) in enumerate(zip(trace.travel_times, trace.costs)):
             rows.append((n_days, k, r / base_cost))
             rows_reg.append((n_days, k, rr / base_cost))
     write_csv(out_dir / "convergence.csv", ["N", "iteration", "cost_ratio"], rows)
@@ -395,7 +402,7 @@ def run_privacy_cost(config, out_dir):
     instance = pipeline.instance
     dataset, avg = pipeline.sample()
     constants = resolve_constants(config, instance, dataset)
-    x_pre, _, _ = pipeline.descend(dataset, avg, constants)
+    x_pre = pipeline.descend(dataset, constants)
     cost_pre = travel_time_cost(x_pre, avg, instance.latency)
     rows = []
     sigmas = {}
@@ -440,8 +447,9 @@ def _sweep_rows(pipeline, alphas, ratios):
         base_cost = travel_time_cost(pipeline.baseline(dataset)[0], avg, pipeline.instance.latency)
         for alpha in todo:
             constants = resolve_constants(pipeline.config, pipeline.instance, dataset, alpha=alpha)
-            _, _, travel_trace = pipeline.descend(dataset, avg, constants)
-            ratios[key, alpha] = [cost / base_cost for cost in travel_trace]
+            trace = CostTrace(pipeline.instance.latency, constants.alpha, avg)
+            pipeline.descend(dataset, constants, on_step=trace)
+            ratios[key, alpha] = [cost / base_cost for cost in trace.travel_times]
     return [(parameter, k, ratio) for parameter, alpha in alphas
             for k, ratio in enumerate(ratios[key, alpha])]
 

@@ -182,7 +182,7 @@ def test_criterion_4_error_scaling():
         for seed in range(20):
             ds = sample_dataset(mean, n_days, period, seed=1000 + seed)
             consts = compute_constants(net, lat, lambda_max(ds), alpha, period)
-            x_pre, _, _ = descend(ds, net, lat, consts, x_star, projector=projector)
+            x_pre = descend(ds, net, lat, consts, x_star, projector=projector)
             sigma = gaussian_noise_scale(consts, n_days, privacy)
             x_alg = perturb_and_project(x_pre, sigma, seed, net, projector=projector)
             dists.append(float(np.linalg.norm(x_alg - x_star)))

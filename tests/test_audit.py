@@ -81,8 +81,8 @@ def test_identical_datasets_zero_distance(ring5, ring5_demand):
     consts = compute_constants(ring5, lat, float(ds.matrices.max()), 1.0, 60.0)
     projector = FlowProjector(ring5)
     x0 = initial_shortest_path_policy(ring5)
-    a, _, _ = descend(ds, ring5, lat, consts, x0, projector=projector)
-    b, _, _ = descend(ds, ring5, lat, consts, x0, projector=projector)
+    a = descend(ds, ring5, lat, consts, x0, projector=projector)
+    b = descend(ds, ring5, lat, consts, x0, projector=projector)
     assert np.array_equal(a, b)
 
 

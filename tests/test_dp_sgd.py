@@ -5,6 +5,7 @@ import pytest
 
 from privroute.demand import DemandDataset, make_adjacent, sample_dataset
 from privroute.dp_sgd import (
+    CostTrace,
     PrivacyParams,
     descend,
     gaussian_noise_scale,
@@ -131,6 +132,23 @@ def test_one_pass_reads_each_day_once(triangle, triangle_latency):
     assert counts == {t: 1 for t in range(1, 9)}
 
 
+def test_on_step_sees_each_iterate_in_order(ring5, ring5_demand):
+    lat = affine_latency_from(ring5, 2.0)
+    ds = sample_dataset(ring5_demand, 6, 60.0, seed=4)
+    consts = compute_constants(ring5, lat, float(ds.matrices.max()), alpha=1.0, period_minutes=60.0)
+    x0 = initial_shortest_path_policy(ring5)
+    seen = []
+    x = descend(ds, ring5, lat, consts, x0, on_step=lambda k, X, demand: seen.append((k, X, demand)))
+    assert [k for k, _, _ in seen] == list(range(ds.day_count + 1))
+    assert np.array_equal(seen[0][1], x0)
+    assert np.array_equal(seen[-1][1].view(np.uint64), x.view(np.uint64))
+    # k = 0 sees day 1's demand, step k its own day's
+    days = [ds.day(1)] + [ds.day(k) for k in range(1, ds.day_count + 1)]
+    assert all(np.array_equal(demand, day) for (_, _, demand), day in zip(seen, days))
+    # the hook observes: the final iterate is the one an unobserved run returns
+    assert np.array_equal(descend(ds, ring5, lat, consts, x0), x)
+
+
 def test_single_step_zero_demand_matches_formula(triangle, triangle_latency):
     # with zero demand the gradient is alpha * x, so one step contracts by (1 - eta alpha)
     alpha = 1.0
@@ -155,7 +173,7 @@ def test_sgd_reaches_frank_wolfe_cost(triangle, triangle_latency):
     ds = fixed_demand_dataset(demand, n_days)
     consts = compute_constants(triangle, triangle_latency, 1.0, alpha, 60.0)
     x0 = initial_shortest_path_policy(triangle)
-    x_pre, cost_trace, _ = descend(ds, triangle, triangle_latency, consts, x0)
+    x_pre = descend(ds, triangle, triangle_latency, consts, x0)
     x_fw, _ = frank_wolfe_solve(demand, triangle, triangle_latency, alpha=alpha, gap_tol=1e-10, max_iters=10000)
     c_sgd = regularized_cost(x_pre, demand, triangle_latency, alpha)
     c_fw = regularized_cost(x_fw, demand, triangle_latency, alpha)
@@ -167,8 +185,9 @@ def test_cost_trace_nonincreasing_on_fixed_demand(ring5, ring5_demand):
     ds = fixed_demand_dataset(ring5_demand, 30)
     consts = compute_constants(ring5, lat, float(ring5_demand.max()), alpha=1.0, period_minutes=60.0)
     x0 = initial_shortest_path_policy(ring5)
-    _, cost_trace, _ = descend(ds, ring5, lat, consts, x0)
-    diffs = np.diff(cost_trace)
+    trace = CostTrace(lat, consts.alpha)
+    descend(ds, ring5, lat, consts, x0, on_step=trace)
+    diffs = np.diff(trace.costs)
     assert np.all(diffs <= 1e-8)
 
 
@@ -182,29 +201,16 @@ def test_contraction_between_two_starts(ring5, ring5_demand):
     rng = np.random.default_rng(1)
     x_b = projector.project_policy(x_a + rng.normal(scale=0.3, size=x_a.shape), tol=1e-10)
 
-    dists = [np.linalg.norm(x_a - x_b)]
-
-    class Tap:
-        def __init__(self, inner):
-            self.inner = inner
-            self.network = inner.network
-            self.outs = []
-
-        def reachable(self, o, d):
-            return self.inner.reachable(o, d)
-
-        def project_policy(self, x, tol):
-            out = self.inner.project_policy(x, tol=tol)
-            self.outs.append(out)
-            return out
-
-    tap_a, tap_b = Tap(projector), Tap(projector)
-    descend(ds, ring5, lat, consts, x_a, projector=tap_a)
-    descend(ds, ring5, lat, consts, x_b, projector=tap_b)
-    for xa, xb in zip(tap_a.outs, tap_b.outs):
-        new = np.linalg.norm(xa - xb)
-        assert new <= dists[-1] + 1e-6
-        dists.append(new)
+    # the observer sees the start at k = 0, then each projected iterate
+    outs_a, outs_b = [], []
+    descend(ds, ring5, lat, consts, x_a, projector=projector,
+            on_step=lambda k, X, demand: outs_a.append(X))
+    descend(ds, ring5, lat, consts, x_b, projector=projector,
+            on_step=lambda k, X, demand: outs_b.append(X))
+    dists = [np.linalg.norm(xa - xb) for xa, xb in zip(outs_a, outs_b)]
+    assert len(dists) == 1 + ds.day_count
+    for before, after in zip(dists, dists[1:]):
+        assert after <= before + 1e-6
     assert dists[-1] < dists[0]
 
 
@@ -222,8 +228,8 @@ def test_empirical_sensitivity_bound_quick(ring5, ring5_demand):
         adj = make_adjacent(ds, day, od, "add")
         lam = max(float(ds.matrices.max()), float(adj.matrices.max()))
         consts = compute_constants(ring5, lat, lam, alpha=1.0, period_minutes=60.0)
-        a, _, _ = descend(ds, ring5, lat, consts, x0, projector=projector)
-        b, _, _ = descend(adj, ring5, lat, consts, x0, projector=projector)
+        a = descend(ds, ring5, lat, consts, x0, projector=projector)
+        b = descend(adj, ring5, lat, consts, x0, projector=projector)
         dist = np.linalg.norm(a - b)
         bound = sensitivity_bound(consts, n_days)
         assert dist <= bound + 10 * n_days * 1e-6
@@ -286,7 +292,7 @@ def test_release_carries_no_state_from_descent(ring5, ring5_demand):
     dataset = sample_dataset(ring5_demand, 5, 60.0, seed=11)
     constants = compute_constants(ring5, latency, float(dataset.matrices.max()), 1.0, 60.0)
     used = FlowProjector(ring5)
-    x_pre, _, _ = descend(
+    x_pre = descend(
         dataset, ring5, latency, constants, initial_shortest_path_policy(ring5), projector=used
     )
     released = perturb_and_project(x_pre, 0.3, 7, ring5, projector=used)

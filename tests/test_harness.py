@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -8,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from privroute.audit import audit_sensitivity
 from privroute.cli import main as cli_main
 from privroute.harness import (
     ExperimentConfig,
+    Instance,
+    Pipeline,
     load_instance,
     policy_from_csv,
     policy_to_csv,
@@ -630,3 +634,103 @@ def test_privacy_cost_resolves_constants_once(tiny_config, tmp_path, monkeypatch
     monkeypatch.setattr(harness, "compute_constants", counting)
     run_privacy_cost(tiny_config, tmp_path / "out")
     assert len(resolved) == 1
+
+
+def test_scenarios_share_one_projector_in_any_order(tiny_config, monkeypatch):
+    import privroute.flow_polytope as flow_polytope
+
+    built = []
+    build = flow_polytope.FlowProjector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(flow_polytope.FlowProjector, "__init__", counting)
+    # a scenario made before the pipeline first uses its projector
+    pipeline = Pipeline(tiny_config)
+    early = pipeline.scenario(sensitivity_factor=3.0)
+    assert built == []
+    assert early.projector is pipeline.projector
+    assert early.scenario(demand_scale=2.0).projector is pipeline.projector
+    # and one made after
+    assert pipeline.scenario(demand_scale=0.5).projector is pipeline.projector
+    assert len(built) == 1
+
+
+def test_pipeline_is_freed_without_the_cycle_collector(tiny_config):
+    # a pipeline holds x0 and the projector; a reference cycle through the
+    # scenario link would keep both alive after each command until a
+    # collection, which shows in the benchmark's peak RSS
+    import gc
+    import weakref
+
+    pipeline = Pipeline(tiny_config)
+    scenario = pipeline.scenario(demand_scale=2.0)
+    refs = [weakref.ref(obj) for obj in (pipeline, scenario, scenario.projector)]
+    gc.disable()
+    try:
+        del pipeline, scenario
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_scenario_of_a_given_instance_is_rejected(tiny_config, triangle, triangle_latency):
+    # the scenario would reload the config's files, not the given network
+    instance = Instance(triangle, triangle_latency, np.zeros((3, 3)))
+    pipeline = Pipeline(tiny_config, instance)
+    with pytest.raises(ValueError, match="given instance"):
+        pipeline.scenario(sensitivity_factor=3.0)
+
+
+def test_untraced_descents_evaluate_no_cost(tiny_config, tmp_path, monkeypatch):
+    # the audit and the privacy-cost experiment keep only final iterates, so
+    # no cost of an iterate is computed inside their descents
+    import privroute.dp_sgd as dp_sgd
+
+    def no_cost(*args):
+        raise AssertionError("a descent evaluated a cost that no caller keeps")
+
+    monkeypatch.setattr(dp_sgd, "regularized_cost", no_cost)
+    monkeypatch.setattr(dp_sgd, "travel_time_cost", no_cost)
+    audit_sensitivity(Pipeline(tiny_config), trials=2)
+    run_privacy_cost(tiny_config, tmp_path / "pc")
+
+
+def _load_bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_spans_cover_the_cli(tiny_config, tmp_path):
+    # the benchmark's solve_s is the per-round median of the private_sgd span
+    # inside solve-private, and days_per_s reads the descend spans
+    tracing = _load_bench_tracing()
+    cfg = write_config(tmp_path, tiny_config)
+
+    def spans(*argv):
+        tracer = tracing.Tracer()
+        with tracing.install(tracer, tracing.TIMED):
+            assert cli_main([*argv, "--config", cfg, "--out-dir", str(tmp_path / argv[0])]) == 0
+        return tracing.SpanTree(tracer.spans)
+
+    def select(tree, name, **where):
+        return tree.select(tracing.named(name), **where)
+
+    tree = spans("solve-private")
+    assert len(select(tree, "dp_sgd.private_sgd")) == 1
+    descents = select(tree, "dp_sgd.descend")
+    assert descents == select(tree, "dp_sgd.descend", under=("dp_sgd.private_sgd",))
+    assert len(descents) == 1
+    assert tree.attr_sum(descents, "days") == tiny_config.n_days
+
+    tree = spans("audit", "--trials", "2")
+    assert len(select(tree, "dp_sgd.descend")) == 4
+    assert select(tree, "dp_sgd.private_sgd") == []
+
+    tree = spans("experiment", "privacy-cost")
+    assert len(select(tree, "dp_sgd.descend")) >= 1
