@@ -217,7 +217,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (TNTPFormatError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (TNTPFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ProjectionConvergenceError as exc:

@@ -107,11 +107,23 @@ def sample_gaussian(sigma, dim, seed):
         return np.zeros(dim)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     pairs = (dim + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # in (0, 1], keeps log finite
+    u1 = rng.random(pairs)
+    np.subtract(1.0, u1, out=u1)  # in (0, 1], keeps log finite
     u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
-    return sigma * z[:dim]
+    # the radius sqrt(-2 log u1) and the angle 2 pi u2, each in its draw's array
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    # the cosine half, then as much of the sine half as dim leaves room for
+    z = np.empty(dim)
+    cos, sin = z[:pairs], z[pairs:]
+    np.cos(u2, out=cos)
+    cos *= u1
+    np.sin(u2[: sin.size], out=sin)
+    sin *= u1[: sin.size]
+    z *= sigma
+    return z
 
 
 def _check_feasible_start(x0, projector, tol=1e-6):
@@ -177,8 +189,11 @@ def descend(
         on_step(0, X, first_day)
     for k in range(1, dataset.day_count + 1):
         lam = first_day if k == 1 else dataset.day(k)
-        eta = step_size(k, alpha, beta)
-        X = projector.project_policy(X - eta * gradient(X, lam, latency, alpha), tol=step_tol)
+        # the step X - eta g, formed in the gradient's array
+        step = gradient(X, lam, latency, alpha)
+        step *= step_size(k, alpha, beta)
+        X = projector.project_policy(np.subtract(X, step, out=step), tol=step_tol)
+        del step  # not held through on_step and the next gradient
         if on_step is not None:
             on_step(k, X, lam)
     return X
@@ -191,8 +206,9 @@ def perturb_and_project(
     if projector is None:
         projector = FlowProjector(network)
     x_pre = np.asarray(x_pre, dtype=float)
-    noise = sample_gaussian(sigma, x_pre.size, seed).reshape(x_pre.shape)
-    return projector.project_policy(x_pre + noise, tol=final_tol)
+    noisy = sample_gaussian(sigma, x_pre.size, seed).reshape(x_pre.shape)
+    noisy += x_pre
+    return projector.project_policy(noisy, tol=final_tol)
 
 
 def private_sgd(

@@ -57,6 +57,11 @@ _MOMENTUM_AFTER = 20
 _SHOWN_PAIRS = 5  # unconverged pairs named in a ProjectionConvergenceError
 
 
+def _chunk_rows(width):
+    # rows per projection chunk of float64 arrays width entries wide
+    return max(1, _CHUNK_BYTES // max(1, 8 * width))
+
+
 class UnreachablePairError(ValueError):
     """No directed path exists between the requested endpoints."""
 
@@ -65,13 +70,15 @@ class ProjectionConvergenceError(RuntimeError):
     """Dykstra hit the iteration cap before meeting the tolerance.
 
     Carries the worst conservation residual at the cap, the iteration count,
-    the number of unconverged pairs and the first few of them as 1-based
-    (origin, destination) node ids, as printed.
+    the number of unconverged pairs, the first few of them as 1-based
+    (origin, destination) node ids, as printed, and all of them 0-based in
+    stuck.
     """
 
     def __init__(self, residual, iterations, pairs):
         self.residual = residual
         self.iterations = iterations
+        self.stuck = list(pairs)  # every unconverged (o, d), 0-based, in row order
         self.unconverged = len(pairs)
         self.pairs = tuple((o + 1, d + 1) for o, d in pairs[:_SHOWN_PAIRS])
         shown = ", ".join(f"({o}, {d})" for o, d in self.pairs)
@@ -179,7 +186,7 @@ class FlowProjector:
             )
         B = self._rhs(o, d)
         out = np.empty_like(V)
-        chunk = max(1, _CHUNK_BYTES // max(1, V.itemsize * V.shape[1]))
+        chunk = _chunk_rows(V.shape[1])
         stuck, worst = [], 0.0
         for start in range(0, V.shape[0], chunk):
             rows = slice(start, start + chunk)
@@ -275,12 +282,26 @@ class FlowProjector:
 
         Diagonal blocks map to zero, as do blocks of pairs with no directed
         path (their unit-flow polytope is empty, so they are pinned to the
-        zero flow and carry no demand in any valid model).
+        zero flow and carry no demand in any valid model). The routable rows
+        go through project_rows one chunk at a time, in the chunks it would
+        cut itself, so no full-size copy of x is gathered; errors are those
+        of one project_rows call on every routable row.
         """
         n, m = self.network.node_count, self.network.edge_count
         X = np.asarray(x, dtype=float).reshape(n * n, m)
         out = np.zeros((n * n, m))
-        out[self._pair_rows] = self.project_rows(X[self._pair_rows], self._pairs, tol=tol)
+        chunk = _chunk_rows(m)
+        stuck, worst = [], 0.0
+        # at least one call, so that a policy with no routable pair still checks tol
+        for start in range(0, max(1, self._pair_rows.size), chunk):
+            rows = self._pair_rows[start : start + chunk]
+            try:
+                out[rows] = self.project_rows(X[rows], self._pairs[start : start + chunk], tol=tol)
+            except ProjectionConvergenceError as err:
+                stuck += err.stuck
+                worst = max(worst, err.residual)
+        if stuck:
+            raise ProjectionConvergenceError(worst, _MAX_DYKSTRA_ITERS, stuck)
         return out
 
 
@@ -293,18 +314,29 @@ def project_unit_flow(v, od, network, tol=DEFAULT_TOL):
     return FlowProjector(network).project_rows(V, [od], tol=tol)[0]
 
 
-def _dijkstra(sources, edge_costs, network):
-    # shortest_path_tree from each source under one shared (m,) cost vector
-    # or its own row of (len(sources), m) costs: (len(sources), n) arrays of
-    # distances and of predecessor edges
-    costs = np.asarray(edge_costs, dtype=float)
+def _cost_list(costs):
+    # one (m,) cost vector as a list of Python floats, checked nonnegative
     if np.any(costs < 0):
         raise ValueError("edge costs must be nonnegative")
-    rows = costs.tolist() if costs.ndim == 2 else [costs.tolist()] * len(sources)
+    return costs.tolist()
+
+
+def _dijkstra(sources, edge_costs, network, cost_rows=None):
+    # shortest_path_tree from each source under one shared (m,) cost vector
+    # or its own row of 2-D costs, row cost_rows[i] for source i (row i when
+    # cost_rows is None), read one row at a time: (len(sources), n) arrays of
+    # distances and of predecessor edges
+    costs = np.asarray(edge_costs, dtype=float)
+    per_row = costs.ndim == 2
+    cost = None if per_row else _cost_list(costs)
+    if cost_rows is None:
+        cost_rows = range(len(sources))
     n, heads, out_edges = network.node_count, network.heads.tolist(), network.out_edges
     pop, push = heapq.heappop, heapq.heappush
     dists, preds = [], []
-    for source, cost in zip(sources, rows):
+    for source, row in zip(sources, cost_rows):
+        if per_row:
+            cost = _cost_list(costs[row])
         dist, pred_edge, seq, done = [math.inf] * n, [-1] * n, [None] * n, [False] * n
         dist[source], seq[source] = 0.0, ()
         heap = [(0.0, (), source)]
@@ -369,7 +401,7 @@ def _tree_support(network, costs):
         o, d = np.nonzero(off_diagonal)
         blocks = pair_index(o, d, n)
         dist, pred_edge = np.full((n * n, n), np.inf), np.full((n * n, n), -1)
-        dist[blocks], pred_edge[blocks] = _dijkstra(o, costs[blocks], network)
+        dist[blocks], pred_edge[blocks] = _dijkstra(o, costs, network, blocks)
         dist = dist.reshape(n, n, n).diagonal(axis1=1, axis2=2)  # [o, d]: d in the tree of (o, d)
     else:
         dist, pred_edge = _dijkstra(range(n), costs, network)

@@ -317,9 +317,11 @@ def policy_to_csv(policy, network, path):
 
 def policy_from_csv(path, network):
     """Read a policy CSV in the layout of policy_to_csv; a bad row, such as
-    one with a non-finite value, raises ValueError naming its 1-based line."""
+    one with a non-finite or negative value or one that repeats an earlier
+    row's pair and edge, raises ValueError naming its 1-based line."""
     n = network.node_count
     policy = np.zeros((n * n, network.edge_count))
+    seen = np.zeros(policy.shape, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _POLICY_COLUMNS if c not in (reader.fieldnames or ())]
@@ -334,6 +336,8 @@ def policy_from_csv(path, network):
                 raise ValueError(f"{path}: line {reader.line_num}: malformed row {row}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}: line {reader.line_num}: non-finite value {row['value']!r}")
+            if value < 0:
+                raise ValueError(f"{path}: line {reader.line_num}: negative value {row['value']!r}")
             if not (1 <= o <= n and 1 <= d <= n):
                 raise ValueError(
                     f"{path}: line {reader.line_num}: node id outside 1..{n} in pair ({o}, {d})"
@@ -344,7 +348,13 @@ def policy_from_csv(path, network):
                 raise ValueError(
                     f"{path}: line {reader.line_num}: the network has no edge {tail}->{head}"
                 ) from None
-            policy[pair_index(o - 1, d - 1, n), e] = value
+            entry = (pair_index(o - 1, d - 1, n), e)
+            if seen[entry]:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: repeats pair ({o}, {d}) on edge {tail}->{head}"
+                )
+            seen[entry] = True
+            policy[entry] = value
     return policy
 
 

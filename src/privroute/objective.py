@@ -86,7 +86,9 @@ def gradient(x, demand, latency, alpha):
     X = _as_policy(x, n, np.asarray(x).size // (n * n))
     y = demand.reshape(n * n) @ X
     edge_costs = 2.0 * latency.slope * y + latency.free_flow
-    return np.outer(demand.reshape(n * n), edge_costs) + alpha * X
+    g = np.outer(demand.reshape(n * n), edge_costs)
+    g += alpha * X
+    return g
 
 
 def demand_weight_top_eigenvalue(demand, latency):

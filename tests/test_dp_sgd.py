@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from privroute.baseline import frank_wolfe_solve
 from privroute.flow_polytope import FlowProjector, initial_shortest_path_policy, pair_index
 from privroute.net_model import LatencyModel, affine_latency_from
 from privroute.objective import ModelConstants, compute_constants, regularized_cost
+from conftest import integer_grid
 
 
 def fixed_demand_dataset(demand, n_days, period=60.0):
@@ -93,6 +96,52 @@ def test_sample_gaussian_reproducible():
     assert np.array_equal(a, b)
     c = sample_gaussian(2.0, 1000, seed=8)
     assert not np.array_equal(a, c)
+
+
+def test_sample_gaussian_bits_are_pinned():
+    # an odd length keeps one cosine draw more than sine draws; the noise is
+    # formed in place, and its bits must not move with that
+    z = sample_gaussian(0.37, 1001, seed=11)
+    assert z.shape == (1001,)
+    digest = hashlib.sha256(z.tobytes()).hexdigest()
+    assert digest == "4c3a067d0ee7ad44064660eca323a04efafbb9f6caadb0d3a4fe18fc3b17c604"
+
+
+def test_private_sgd_memory_peak_on_grid():
+    # one 8 x 8 grid solve: the release, the peak, holds x_pre, the noisy
+    # policy and the projection's output plus chunk buffers; full-size copies
+    # around the projection, the step and the noise read 7.5 policy arrays
+    rng = np.random.default_rng(5)
+    grid = integer_grid(8, rng)
+    latency = affine_latency_from(grid, 2.0)
+    mean = rng.uniform(0.0, 0.05, (64, 64))
+    np.fill_diagonal(mean, 0.0)
+    dataset = sample_dataset(mean, 3, 60.0, seed=1)
+    constants = compute_constants(grid, latency, float(dataset.matrices.max()), 2e-4, 60.0)
+    x0 = initial_shortest_path_policy(grid)
+    projector = FlowProjector(grid)
+    tracemalloc.start()
+    try:
+        private_sgd(
+            dataset, grid, latency, constants, PrivacyParams(0.1, 0.1), x0, 0, projector=projector
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * x0.nbytes
+
+
+def test_solver_leaves_its_arguments_unchanged(ring5, ring5_demand):
+    latency = affine_latency_from(ring5, 2.0)
+    dataset = sample_dataset(ring5_demand, 3, 60.0, seed=2)
+    constants = compute_constants(ring5, latency, float(dataset.matrices.max()), 1.0, 60.0)
+    x0 = initial_shortest_path_policy(ring5)
+    kept = x0.copy()
+    x_pre = descend(dataset, ring5, latency, constants, x0)
+    assert np.array_equal(x0, kept)
+    kept = x_pre.copy()
+    perturb_and_project(x_pre, 0.3, 7, ring5)
+    assert np.array_equal(x_pre, kept)
 
 
 def test_private_sgd_deterministic(triangle, triangle_latency):

@@ -228,6 +228,60 @@ def test_convergence_error_aggregates_chunks(diamond4, monkeypatch):
     assert chunked.value.residual == pytest.approx(whole.value.residual, rel=1e-12)
 
 
+def test_project_policy_chunks_match_project_rows(sioux_falls, monkeypatch):
+    # project_policy hands project_rows one chunk at a time, cut where
+    # project_rows cuts its own chunks, so every row runs in the same batch:
+    # bit for bit the scatter of one project_rows call over the routable rows
+    network = sioux_falls.network
+    projector = FlowProjector(network)
+    pairs, rows = _routable_rows(projector)
+    x = initial_shortest_path_policy(network)
+    x = x + np.random.default_rng(4).normal(scale=1e-2, size=x.shape)
+    kept = x.copy()
+    # 552 rows in chunks of 100: five full chunks and a short one
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * x.shape[1] * x.itemsize)
+    expected = np.zeros_like(x)
+    expected[rows] = projector.project_rows(x[rows], pairs, tol=1e-8)
+    assert np.array_equal(projector.project_policy(x, tol=1e-8), expected)
+    assert np.array_equal(x, kept)
+
+
+def test_project_policy_convergence_error_aggregates_chunks(diamond4, monkeypatch):
+    # the rows of test_convergence_error_aggregates_chunks in their policy
+    # rows: one error for the whole policy, naming stuck pairs of every chunk
+    monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 2)
+    projector = FlowProjector(diamond4)
+    pairs, rows = _routable_rows(projector)
+    x = np.random.default_rng(6).normal(scale=0.6, size=(16, diamond4.edge_count))
+    x[rows[::2]] = random_policy(diamond4, np.random.default_rng(7))[rows][::2]
+    kept = x.copy()
+    stuck = pairs[1::2]
+    with pytest.raises(ProjectionConvergenceError) as whole:
+        projector.project_policy(x, tol=1e-12)
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 3 * x.shape[1] * x.itemsize)
+    with pytest.raises(ProjectionConvergenceError) as chunked:
+        projector.project_policy(x, tol=1e-12)
+    for err in (whole.value, chunked.value):
+        assert err.iterations == 2
+        assert err.unconverged == len(stuck)
+        assert err.pairs == tuple((o + 1, d + 1) for o, d in stuck[:5])
+    assert chunked.value.residual == pytest.approx(whole.value.residual, rel=1e-12)
+    assert np.array_equal(x, kept)
+
+
+def test_project_policy_names_first_non_finite_pair(diamond4, monkeypatch):
+    # checked chunk by chunk, the first bad pair in row order is still named
+    projector = FlowProjector(diamond4)
+    pairs, rows = _routable_rows(projector)
+    x = random_policy(diamond4, np.random.default_rng(5))
+    x[rows[7], 0] = np.nan
+    x[rows[4], 2] = np.inf
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 3 * x.shape[1] * x.itemsize)
+    o, d = pairs[4]
+    with pytest.raises(ValueError, match=rf"non-finite entry in the row of pair \({o + 1}, {d + 1}\)"):
+        projector.project_policy(x)
+
+
 def test_momentum_convergence_error_aggregates_chunks(sioux_falls, monkeypatch):
     # momentum from the second iteration, and a cap at which about a third
     # of the rows, spread over every chunk, are still active

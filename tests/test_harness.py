@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from privroute.audit import audit_sensitivity
 from privroute.cli import main as cli_main
+from privroute.dp_sgd import PrivacyParams, private_sgd
 from privroute.harness import (
     ExperimentConfig,
     Instance,
@@ -18,6 +20,7 @@ from privroute.harness import (
     load_instance,
     policy_from_csv,
     policy_to_csv,
+    resolve_constants,
     run_convergence,
     run_privacy_cost,
     run_sensitivity_sweep,
@@ -351,8 +354,11 @@ HEADER = "origin,destination,edge_tail,edge_head,value\n"
         (HEADER + "1,4,1,2,1\n1,5,1,2,1\n", "line 3"),  # node 5 of 4 nodes
         (HEADER + "1,4,1,2,1\n1,4,1,4,1\n", "line 3"),  # the network has no edge 1->4
         ("origin,destination,edge_tail,value\n1,4,1,1\n", "line 1"),  # no edge_head
+        # a second row for one pair and edge overwrote the first
+        (HEADER + "1,4,1,2,0.5\n1,4,2,4,0.5\n1,4,1,2,0.25\n", "line 4"),
+        (HEADER + "1,2,1,2,7.5\n1,2,1,2,-3\n", "line 3"),  # no flow is negative
     ],
-    ids=["node-out-of-range", "unknown-edge", "missing-column"],
+    ids=["node-out-of-range", "unknown-edge", "missing-column", "repeated-row", "negative-value"],
 )
 def test_cli_decompose_rejects_bad_policy(tiny_config, tmp_path, capsys, text, where):
     cfg = write_config(tmp_path, tiny_config)
@@ -361,6 +367,24 @@ def test_cli_decompose_rejects_bad_policy(tiny_config, tmp_path, capsys, text, w
     argv = ["decompose", "--config", cfg, "--policy", str(policy), "--out-dir", str(tmp_path / "dec")]
     assert cli_main(argv) == 1
     assert f"{policy}: {where}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["out-dir-is-a-file", "config-is-a-directory", "policy-is-a-directory"])
+def test_cli_os_errors_on_user_paths_are_input_errors(tiny_config, tmp_path, capsys, case):
+    # each of these ended in a traceback
+    cfg = write_config(tmp_path, tiny_config)
+    policy = tmp_path / "policy.csv"
+    policy.write_text(HEADER + "1,4,1,2,1\n1,4,2,4,1\n")
+    out = tmp_path / "dec"
+    if case == "out-dir-is-a-file":
+        out.write_text("")
+    elif case == "config-is-a-directory":
+        cfg = str(tmp_path)
+    else:
+        policy = tmp_path
+    argv = ["decompose", "--config", cfg, "--policy", str(policy), "--out-dir", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -698,10 +722,13 @@ def test_untraced_descents_evaluate_no_cost(tiny_config, tmp_path, monkeypatch):
     run_privacy_cost(tiny_config, tmp_path / "pc")
 
 
-def _load_bench_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
     spec.loader.exec_module(module)
     return module
 
@@ -709,12 +736,12 @@ def _load_bench_tracing():
 def test_benchmark_spans_cover_the_cli(tiny_config, tmp_path):
     # the benchmark's solve_s is the per-round median of the private_sgd span
     # inside solve-private, and days_per_s reads the descend spans
-    tracing = _load_bench_tracing()
+    tracing = _load_bench("tracing")
     cfg = write_config(tmp_path, tiny_config)
 
-    def spans(*argv):
+    def spans(*argv, names=tracing.TIMED):
         tracer = tracing.Tracer()
-        with tracing.install(tracer, tracing.TIMED):
+        with tracing.install(tracer, names):
             assert cli_main([*argv, "--config", cfg, "--out-dir", str(tmp_path / argv[0])]) == 0
         return tracing.SpanTree(tracer.spans)
 
@@ -728,9 +755,50 @@ def test_benchmark_spans_cover_the_cli(tiny_config, tmp_path):
     assert len(descents) == 1
     assert tree.attr_sum(descents, "days") == tiny_config.n_days
 
+    # flow_polytope.rows and project_calls read the project_rows spans: every
+    # step and the release project each routable row once, inside its policy
+    tree = spans("solve-private", names=None)
+    policies = select(tree, "flow_polytope.FlowProjector.project_policy")
+    assert len(policies) == tiny_config.n_days + 1
+    rows = select(tree, "flow_polytope.FlowProjector.project_rows")
+    for policy in policies:
+        assert set(tree.children[policy]) & set(rows)
+    routable = len(Pipeline(tiny_config).projector.routable_pairs())
+    assert tree.attr_sum(rows, "rows") == (tiny_config.n_days + 1) * routable
+
     tree = spans("audit", "--trials", "2")
     assert len(select(tree, "dp_sgd.descend")) == 4
     assert select(tree, "dp_sgd.private_sgd") == []
 
     tree = spans("experiment", "privacy-cost")
     assert len(select(tree, "dp_sgd.descend")) >= 1
+
+
+def test_benchmark_checked_projector_sees_every_iterate(tiny_config, monkeypatch):
+    # the benchmark's warm-up checks every policy that private_sgd projects
+    # through perfbench's CheckedProjector, an override of project_policy
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load_bench("workloads")
+    checked = []
+    policy_problems = workloads.checks.policy_problems
+
+    def counted(*args):
+        checked.append(args[-1])
+        return policy_problems(*args)
+
+    monkeypatch.setattr(workloads.checks, "policy_problems", counted)
+    pipeline = Pipeline(tiny_config)
+    dataset, avg = pipeline.sample()
+    problems = []
+    private_sgd(
+        dataset,
+        pipeline.instance.network,
+        pipeline.instance.latency,
+        resolve_constants(tiny_config, pipeline.instance, dataset),
+        PrivacyParams(tiny_config.epsilon, tiny_config.delta),
+        pipeline.x0,
+        seed=0,
+        projector=workloads.CheckedProjector(pipeline.instance.network, problems),
+    )
+    assert len(checked) == tiny_config.n_days + 1
+    assert problems == []
