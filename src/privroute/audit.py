@@ -18,7 +18,7 @@ import numpy as np
 from . import demand as demand_mod
 from .baseline import detect_od_presence, standard_feasible_flow
 from .dp_sgd import sensitivity_bound
-from .objective import compute_constants
+from .harness import resolve_constants
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,8 @@ def audit_sensitivity(pipeline, trials):
         o, d = pairs[int(rng.integers(len(pairs)))]
         adjacent = demand_mod.make_adjacent(dataset, day, (o, d), "add")
 
-        lam_bound = max(demand_mod.lambda_max(dataset), demand_mod.lambda_max(adjacent))
-        constants = compute_constants(
-            instance.network, instance.latency, lam_bound, config.alpha, config.period_minutes
-        )
+        # the twin's rate bound covers both: "add" raises one rate
+        constants = resolve_constants(config, instance, adjacent)
         bound = sensitivity_bound(constants, config.n_days)
         x_a, x_b = (pipeline.descend(twin, constants) for twin in (dataset, adjacent))
         distance = float(np.linalg.norm(x_a - x_b))

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .harness import (
     write_csv,
     write_metadata,
 )
-from .net_model import TNTPFormatError
 
 
 def _load_config(args):
@@ -39,7 +37,7 @@ def _load_config(args):
         config = ExperimentConfig()
     else:
         config = ExperimentConfig.from_json(Path(args.config).read_text())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(config, dataset_seed=args.seed)
     return config
 
@@ -171,11 +169,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="path to a config JSON (defaults to built-in Sioux Falls)")
         p.add_argument("--seed", type=int, help="override the dataset seed")
-        if needs_out:
-            p.add_argument("--out-dir", required=True, help="directory for output artifacts")
+        p.add_argument("--out-dir", required=True, help="directory for output artifacts")
 
     p = sub.add_parser("solve-private", help="run the private solver and write the policy")
     common(p)
@@ -217,7 +214,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (TNTPFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # TNTPFormatError and JSONDecodeError included
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ProjectionConvergenceError as exc:

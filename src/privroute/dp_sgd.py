@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_polytope import FlowProjector
+from .flow_polytope import FlowProjector, UnreachablePairError
 from .objective import gradient, regularized_cost, travel_time_cost
 
 STEP_PROJECTION_TOL = 1e-6
@@ -176,13 +176,21 @@ def descend(
     """Run the N projected gradient steps of the private solver (no noise) and
     return the final iterate.
 
-    Each day's demand is read exactly once, in dataset order. on_step, when
-    given, is called as on_step(k, X, demand): at k = 0 with the checked start
-    and day 1's demand, then after step k with its iterate and day k's demand.
+    Each day's demand is read by exactly one step, in dataset order.
+    on_step, when given, is called as on_step(k, X, demand): at k = 0 with
+    the checked start and day 1's demand, then after step k with its iterate
+    and day k's demand. Demand on a pair with no directed path, on any day,
+    raises UnreachablePairError before the first step, naming the first such
+    pair in row-major order.
     """
     if projector is None:
         projector = FlowProjector(network)
     X = _check_feasible_start(x0, projector)
+    demanded = np.flatnonzero(dataset.matrices.any(axis=0))
+    unserved = demanded[~projector.reachable(*np.divmod(demanded, network.node_count))]
+    if unserved.size:
+        o, d = divmod(int(unserved[0]), network.node_count)
+        raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
     alpha, beta = constants.alpha, constants.beta
     first_day = dataset.day(1)
     if on_step is not None:

@@ -18,11 +18,11 @@ with G the pseudo-inverse of A A^T. The conservation residual that the
 stopping test reads is thus also the next step, and no box correction is
 stored. A holds the conservation equations of all nodes but the last, whose
 row is minus their sum. The feasible set is a product, so the blocks of a
-policy are projected together as rows of one array, in cache-sized chunks of
-rows taken one after another.
+policy are projected together as rows of one array; project_policy cuts a
+policy's rows into cache-sized chunks and projects them one after another.
 
 That loop is preconditioned gradient ascent on the dual, so it runs in two
-phases. The first _MOMENTUM_AFTER iterations of a chunk are the plain loop
+phases. The first _MOMENTUM_AFTER iterations of a batch are the plain loop
 above. From then on the rows still active extrapolate their multipliers
 with Nesterov momentum (Beck and Teboulle's FISTA): lam_k = y - G (A x - b)
 with x read at y, then y = lam_k + beta_k (lam_k - lam_{k-1}), and a row's
@@ -48,18 +48,13 @@ _MAX_DYKSTRA_ITERS = 10_000
 # such buffers a Dykstra iteration streams then stays in L2 (1 MiB ran
 # fastest of 256 KiB to 16 MiB on the 64-node grid).
 _CHUNK_BYTES = 1 << 20
-# Plain dual iterations per chunk before the rows still active switch to
+# Plain dual iterations per batch before the rows still active switch to
 # restarted momentum. Nearly every step projection of the default runs freezes
 # within 20 iterations and keeps the plain loop's iterates; momentum from
 # the first iteration slowed them (five 64-node grid steps: 0.31 s against
 # 0.26 s), while the noisy release there fell from 0.93 s to 0.39 s at 20.
 _MOMENTUM_AFTER = 20
 _SHOWN_PAIRS = 5  # unconverged pairs named in a ProjectionConvergenceError
-
-
-def _chunk_rows(width):
-    # rows per projection chunk of float64 arrays width entries wide
-    return max(1, _CHUNK_BYTES // max(1, 8 * width))
 
 
 class UnreachablePairError(ValueError):
@@ -147,18 +142,16 @@ class FlowProjector:
         """Project each row of V onto the unit-flow polytope of its pair.
 
         pairs is a sequence of (o, d) or an integer array of shape (rows, 2).
-        Returns an array of the same shape as V. Each block iterates Dykstra
-        until its own successive change drops to tol/10 and the residual of
-        its n - 1 reduced conservation equations (all nodes but the last) to
-        tol; converged blocks are frozen so stragglers do not re-run the
-        whole batch. The last node's net-inflow error is minus the sum of the
-        others, so it is held only to (n - 1) * tol. Rows run in chunks of
-        _CHUNK_BYTES per (rows, m) buffer, one chunk after another; each row
-        follows the same iterates, up to rounding, as in one batch. Raises
-        ValueError for a non-finite tol or entry of V, UnreachablePairError
-        if a pair has no directed path, and ProjectionConvergenceError at the
-        iteration cap, naming the unconverged pairs of all chunks in row
-        order.
+        Returns an array of the same shape as V. The rows run as one batch of
+        the dual Dykstra loop (module docstring). Each block iterates until
+        its own successive change drops to tol/10 and the residual of its
+        n - 1 reduced conservation equations (all nodes but the last) to tol;
+        converged blocks are frozen so stragglers do not re-run the whole
+        batch. The last node's net-inflow error is minus the sum of the
+        others, so it is held only to (n - 1) * tol. Raises ValueError for a
+        non-finite tol or entry of V, UnreachablePairError if a pair has no
+        directed path, and ProjectionConvergenceError at the iteration cap,
+        naming the unconverged pairs in row order.
 
         The multipliers start at zero in every call, and nothing is kept
         between calls. The release projection must not start from the
@@ -184,27 +177,12 @@ class FlowProjector:
             raise ValueError(
                 f"non-finite entry in the row of pair ({o[bad[0]] + 1}, {d[bad[0]] + 1})"
             )
-        B = self._rhs(o, d)
         out = np.empty_like(V)
-        chunk = _chunk_rows(V.shape[1])
-        stuck, worst = [], 0.0
-        for start in range(0, V.shape[0], chunk):
-            rows = slice(start, start + chunk)
-            active, residual = self._dykstra(V[rows], B[rows], tol, out[rows])
-            if active.size:
-                stuck.append(active + start)
-                worst = max(worst, residual)
-        if stuck:
-            raise ProjectionConvergenceError(
-                worst, _MAX_DYKSTRA_ITERS, od[np.concatenate(stuck)].tolist()
-            )
-        return out
-
-    def _dykstra(self, V, B, tol, out):
-        # dual Dykstra (module docstring) on one non-empty chunk, one block
-        # per row; writes each converged row into out and returns the rows
-        # left at the iteration cap with their worst residual
+        active = np.arange(V.shape[0])  # rows not yet frozen
+        if not active.size:
+            return out
         A, A_T, G_T = self._A_reduced, self._A_reduced_T, self._gram_solve_T
+        B = self._rhs(o, d)
         R = V @ A_T - B  # residual of the start: the first step is the affine projection
         lam = np.zeros_like(R)
         # momentum state (module docstring), allocated when the second phase
@@ -215,7 +193,6 @@ class FlowProjector:
         # |R| is stored transposed: numpy takes the maxima of its columns
         # elementwise across rows, far faster than those of many short rows
         R_abs = np.empty(R.shape[::-1])
-        active = np.arange(V.shape[0])
         for iteration in range(1, _MAX_DYKSTRA_ITERS + 1):
             if iteration <= _MOMENTUM_AFTER:
                 lam -= R @ G_T
@@ -260,14 +237,16 @@ class FlowProjector:
                     keep[done] = False
                     active = active[keep]
                     if active.size == 0:
-                        return active, 0.0
+                        return out
                     X, V, B, lam, R = X[keep], V[keep], B[keep], lam[keep], R[keep]
                     k = active.size
                     previous, scratch, R_abs = previous[:k], scratch[:k], R_abs[:, :k]
                     if y is not None:
                         y, step, t = y[keep], step[:k], t[keep]
             X, previous = previous, X
-        return active, float(residual.max())
+        raise ProjectionConvergenceError(
+            float(residual.max()), _MAX_DYKSTRA_ITERS, od[active].tolist()
+        )
 
     def reachable(self, o, d):
         """Whether a directed o -> d path exists; o and d may be index arrays."""
@@ -283,14 +262,16 @@ class FlowProjector:
         Diagonal blocks map to zero, as do blocks of pairs with no directed
         path (their unit-flow polytope is empty, so they are pinned to the
         zero flow and carry no demand in any valid model). The routable rows
-        go through project_rows one chunk at a time, in the chunks it would
-        cut itself, so no full-size copy of x is gathered; errors are those
-        of one project_rows call on every routable row.
+        are cut into chunks of _CHUNK_BYTES per (rows, m) buffer, and each
+        chunk is gathered and handed to project_rows on its own, so no
+        full-size copy of x is made. Each row follows the same iterates, up
+        to rounding, as in one batch. A ProjectionConvergenceError names the
+        unconverged pairs of all chunks in row order.
         """
         n, m = self.network.node_count, self.network.edge_count
         X = np.asarray(x, dtype=float).reshape(n * n, m)
         out = np.zeros((n * n, m))
-        chunk = _chunk_rows(m)
+        chunk = max(1, _CHUNK_BYTES // max(1, 8 * m))
         stuck, worst = [], 0.0
         # at least one call, so that a policy with no routable pair still checks tol
         for start in range(0, max(1, self._pair_rows.size), chunk):

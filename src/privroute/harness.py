@@ -317,8 +317,8 @@ def policy_to_csv(policy, network, path):
 
 def policy_from_csv(path, network):
     """Read a policy CSV in the layout of policy_to_csv; a bad row, such as
-    one with a non-finite or negative value or one that repeats an earlier
-    row's pair and edge, raises ValueError naming its 1-based line."""
+    one with a non-finite value or one outside [0, 1], or one that repeats an
+    earlier row's pair and edge, raises ValueError naming its 1-based line."""
     n = network.node_count
     policy = np.zeros((n * n, network.edge_count))
     seen = np.zeros(policy.shape, dtype=bool)
@@ -336,8 +336,10 @@ def policy_from_csv(path, network):
                 raise ValueError(f"{path}: line {reader.line_num}: malformed row {row}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}: line {reader.line_num}: non-finite value {row['value']!r}")
-            if value < 0:
-                raise ValueError(f"{path}: line {reader.line_num}: negative value {row['value']!r}")
+            if not 0 <= value <= 1:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: value {row['value']!r} outside [0, 1]"
+                )
             if not (1 <= o <= n and 1 <= d <= n):
                 raise ValueError(
                     f"{path}: line {reader.line_num}: node id outside 1..{n} in pair ({o}, {d})"

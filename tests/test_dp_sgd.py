@@ -18,7 +18,12 @@ from privroute.dp_sgd import (
     step_size,
 )
 from privroute.baseline import frank_wolfe_solve
-from privroute.flow_polytope import FlowProjector, initial_shortest_path_policy, pair_index
+from privroute.flow_polytope import (
+    FlowProjector,
+    UnreachablePairError,
+    initial_shortest_path_policy,
+    pair_index,
+)
 from privroute.net_model import LatencyModel, affine_latency_from
 from privroute.objective import ModelConstants, compute_constants, regularized_cost
 from conftest import integer_grid
@@ -129,6 +134,27 @@ def test_private_sgd_memory_peak_on_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * x0.nbytes
+
+
+def test_private_sgd_bits_are_pinned_on_grid():
+    # the solve of test_private_sgd_memory_peak_on_grid: 4,032 routable rows,
+    # projected in 7 chunks
+    rng = np.random.default_rng(5)
+    grid = integer_grid(8, rng)
+    latency = affine_latency_from(grid, 2.0)
+    mean = rng.uniform(0.0, 0.05, (64, 64))
+    np.fill_diagonal(mean, 0.0)
+    dataset = sample_dataset(mean, 3, 60.0, seed=1)
+    constants = compute_constants(grid, latency, float(dataset.matrices.max()), 2e-4, 60.0)
+    solution = private_sgd(
+        dataset, grid, latency, constants, PrivacyParams(0.1, 0.1),
+        initial_shortest_path_policy(grid), 0,
+    )
+    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (solution.x_pre, solution.x_alg)]
+    assert digests == [
+        "8256c489b8dac7a3196e9d33b103509d94717c429618002dc794c84ba6144721",
+        "6ee0cd41e3f67d2201002cab813e805c6878df4a0240eb915958c5a6aefa766e",
+    ]
 
 
 def test_solver_leaves_its_arguments_unchanged(ring5, ring5_demand):
@@ -325,6 +351,24 @@ def test_infeasible_start_names_first_bad_block(diamond4):
         o, d = divmod(block, 4)
         with pytest.raises(ValueError, match=rf"x0 block \({o + 1}, {d + 1}\) is not a unit flow"):
             descend(ds, diamond4, lat, consts, broken({block, 15}))
+
+
+def test_descend_names_first_unserved_pair_over_all_days(triangle, triangle_latency):
+    # nodes 2 and 3 reach no earlier node: (3, 1) is demanded on day 1 and
+    # (2, 1) on day 3 only, and (2, 1) comes first in row-major order
+    matrices = np.zeros((3, 3, 3))
+    matrices[:, 0, 2] = 1.0
+    matrices[0, 2, 0] = 5.0
+    matrices[2, 1, 0] = 0.5
+    ds = DemandDataset(matrices=matrices, period_minutes=60.0)
+    consts = compute_constants(triangle, triangle_latency, 5.0, alpha=0.5, period_minutes=60.0)
+    steps = []
+    with pytest.raises(UnreachablePairError, match=r"^no path serves demanded pair \(2, 1\)$"):
+        descend(
+            ds, triangle, triangle_latency, consts, initial_shortest_path_policy(triangle),
+            on_step=lambda k, X, demand: steps.append(k),
+        )
+    assert steps == []
 
 
 def test_perturb_and_project_zero_noise_is_projection(diamond4):

@@ -167,23 +167,23 @@ def test_momentum_projection_closer_than_plain_dykstra(sioux_falls, monkeypatch)
             assert not np.array_equal(out, projector.project_rows(x[rows], pairs, tol=tol))
 
 
-def _noisy_sioux_rows(sioux_falls):
+def _noisy_sioux_policy(sioux_falls):
+    # a noisy Sioux Falls policy with its projector, routable pairs and rows
     network = sioux_falls.network
     projector = FlowProjector(network)
     pairs, rows = _routable_rows(projector)
     x = initial_shortest_path_policy(network)
-    x = x + np.random.default_rng(4).normal(scale=1e-2, size=x.shape)
-    return projector, pairs, x[rows]
+    return projector, pairs, rows, x + np.random.default_rng(4).normal(scale=1e-2, size=x.shape)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])  # the step and release tolerances
 def test_dropped_node_residual_within_n_minus_1_tol(sioux_falls, tol):
     # the stopping rule reads the n - 1 reduced equations; the last node's
     # net-inflow error is minus their sum, so it is held to (n - 1) * tol
-    projector, pairs, V = _noisy_sioux_rows(sioux_falls)
+    projector, pairs, rows, x = _noisy_sioux_policy(sioux_falls)
     network = projector.network
     n = network.node_count
-    out = projector.project_rows(V, pairs, tol=tol)
+    out = projector.project_rows(x[rows], pairs, tol=tol)
     A = network.incidence_matrix()[: n - 1]
     for od, block in zip(pairs, out):
         assert np.max(np.abs(A @ block - conservation_rhs(od, n)[: n - 1])) <= tol
@@ -191,12 +191,13 @@ def test_dropped_node_residual_within_n_minus_1_tol(sioux_falls, tol):
 
 
 def test_chunked_projection_matches_reference(sioux_falls, monkeypatch):
-    projector, pairs, V = _noisy_sioux_rows(sioux_falls)
+    projector, pairs, rows, x = _noisy_sioux_policy(sioux_falls)
+    V = x[rows]
     tol = 1e-8
     whole = projector.project_rows(V, pairs, tol=tol)
     # 552 rows in chunks of 100: five full chunks and a short one
-    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * V.shape[1] * V.itemsize)
-    chunked = projector.project_rows(V, pairs, tol=tol)
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * x.shape[1] * x.itemsize)
+    chunked = projector.project_policy(x, tol=tol)[rows]
     # momentum is kept per row, so chunking moves no row
     assert np.max(np.abs(chunked - whole)) <= 1e-15
     monkeypatch.setattr(flow_polytope, "_MOMENTUM_AFTER", flow_polytope._MAX_DYKSTRA_ITERS)
@@ -205,50 +206,37 @@ def test_chunked_projection_matches_reference(sioux_falls, monkeypatch):
     assert np.max(np.abs(plain - reference)) <= 1e-12
 
 
-def test_convergence_error_aggregates_chunks(diamond4, monkeypatch):
-    monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 2)
-    projector = FlowProjector(diamond4)
-    pairs, rows = _routable_rows(projector)
-    # the noisy rows of test_convergence_error_names_unconverged_pairs, none
-    # of which settles in two iterations, with every even row replaced by a
-    # feasible one, which does: the unconverged pairs are the odd rows,
-    # spread over every chunk
-    x = np.random.default_rng(6).normal(scale=0.6, size=(16, diamond4.edge_count))[rows]
-    x[::2] = random_policy(diamond4, np.random.default_rng(7))[rows][::2]
-    stuck = pairs[1::2]
-    with pytest.raises(ProjectionConvergenceError) as whole:
-        projector.project_rows(x, pairs, tol=1e-12)
-    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 3 * x.shape[1] * x.itemsize)
-    with pytest.raises(ProjectionConvergenceError) as chunked:
-        projector.project_rows(x, pairs, tol=1e-12)
-    for err in (whole.value, chunked.value):
-        assert err.iterations == 2
-        assert err.unconverged == len(stuck)
-        assert err.pairs == tuple((o + 1, d + 1) for o, d in stuck[:5])
-    assert chunked.value.residual == pytest.approx(whole.value.residual, rel=1e-12)
-
-
 def test_project_policy_chunks_match_project_rows(sioux_falls, monkeypatch):
-    # project_policy hands project_rows one chunk at a time, cut where
-    # project_rows cuts its own chunks, so every row runs in the same batch:
-    # bit for bit the scatter of one project_rows call over the routable rows
-    network = sioux_falls.network
-    projector = FlowProjector(network)
-    pairs, rows = _routable_rows(projector)
-    x = initial_shortest_path_policy(network)
-    x = x + np.random.default_rng(4).normal(scale=1e-2, size=x.shape)
+    # project_policy hands project_rows one chunk at a time: bit for bit the
+    # scatter of one project_rows call per chunk, and within rounding of one
+    # call on all routable rows, whose BLAS batch shapes differ
+    projector, pairs, rows, x = _noisy_sioux_policy(sioux_falls)
     kept = x.copy()
+    whole = np.zeros_like(x)
+    whole[rows] = projector.project_rows(x[rows], pairs, tol=1e-8)
     # 552 rows in chunks of 100: five full chunks and a short one
     monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * x.shape[1] * x.itemsize)
     expected = np.zeros_like(x)
-    expected[rows] = projector.project_rows(x[rows], pairs, tol=1e-8)
-    assert np.array_equal(projector.project_policy(x, tol=1e-8), expected)
+    for start in range(0, len(rows), 100):
+        chunk = rows[start : start + 100]
+        expected[chunk] = projector.project_rows(x[chunk], pairs[start : start + 100], tol=1e-8)
+    out = projector.project_policy(x, tol=1e-8)
+    assert np.array_equal(out, expected)
+    assert np.max(np.abs(out - whole)) <= 1e-15
     assert np.array_equal(x, kept)
 
 
+def test_project_policy_on_edgeless_network():
+    # no edge and no routable pair: one empty chunk, and no division by m
+    network = Network(node_count=3, tails=[], heads=[], free_flow_time=[], capacity=[])
+    assert FlowProjector(network).project_policy(np.zeros((9, 0))).shape == (9, 0)
+
+
 def test_project_policy_convergence_error_aggregates_chunks(diamond4, monkeypatch):
-    # the rows of test_convergence_error_aggregates_chunks in their policy
-    # rows: one error for the whole policy, naming stuck pairs of every chunk
+    # the noisy rows of test_convergence_error_names_unconverged_pairs, none
+    # of which settles in two iterations, with every even row replaced by a
+    # feasible one, which does: one error for the whole policy, naming the
+    # stuck odd rows of every chunk
     monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 2)
     projector = FlowProjector(diamond4)
     pairs, rows = _routable_rows(projector)
@@ -287,12 +275,12 @@ def test_momentum_convergence_error_aggregates_chunks(sioux_falls, monkeypatch):
     # of the rows, spread over every chunk, are still active
     monkeypatch.setattr(flow_polytope, "_MOMENTUM_AFTER", 1)
     monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 40)
-    projector, pairs, V = _noisy_sioux_rows(sioux_falls)
+    projector, pairs, _, x = _noisy_sioux_policy(sioux_falls)
     with pytest.raises(ProjectionConvergenceError) as whole:
-        projector.project_rows(V, pairs, tol=1e-8)
-    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * V.shape[1] * V.itemsize)
+        projector.project_policy(x, tol=1e-8)
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 100 * x.shape[1] * x.itemsize)
     with pytest.raises(ProjectionConvergenceError) as chunked:
-        projector.project_rows(V, pairs, tol=1e-8)
+        projector.project_policy(x, tol=1e-8)
     assert 0 < whole.value.unconverged < len(pairs)
     assert chunked.value.iterations == whole.value.iterations == 40
     assert chunked.value.unconverged == whole.value.unconverged

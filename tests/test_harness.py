@@ -356,9 +356,12 @@ HEADER = "origin,destination,edge_tail,edge_head,value\n"
         ("origin,destination,edge_tail,value\n1,4,1,1\n", "line 1"),  # no edge_head
         # a second row for one pair and edge overwrote the first
         (HEADER + "1,4,1,2,0.5\n1,4,2,4,0.5\n1,4,1,2,0.25\n", "line 4"),
-        (HEADER + "1,2,1,2,7.5\n1,2,1,2,-3\n", "line 3"),  # no flow is negative
+        (HEADER + "1,2,1,2,0.75\n1,2,1,2,-3\n", "line 3"),  # no flow is negative
+        # a path of weight 1, and the other 1.5 left in the circulation
+        (HEADER + "1,4,1,2,1\n1,4,2,4,2.5\n", "line 3"),
     ],
-    ids=["node-out-of-range", "unknown-edge", "missing-column", "repeated-row", "negative-value"],
+    ids=["node-out-of-range", "unknown-edge", "missing-column", "repeated-row", "negative-value",
+         "value-above-one"],
 )
 def test_cli_decompose_rejects_bad_policy(tiny_config, tmp_path, capsys, text, where):
     cfg = write_config(tmp_path, tiny_config)
@@ -432,6 +435,41 @@ def test_cli_rejects_bad_input(tiny_config, tmp_path):
     assert cli_main(["solve-baseline", "--config", str(bad_cfg), "--out-dir", str(tmp_path / "x")]) == 1
     missing = tmp_path / "missing.json"
     assert cli_main(["solve-baseline", "--config", str(missing), "--out-dir", str(tmp_path / "y")]) == 1
+
+
+ONE_WAY_NET = """
+<NUMBER OF NODES> 3
+<NUMBER OF LINKS> 2
+<END OF METADATA>
+~ init term capacity length fft b power speed toll type ;
+1 2 10.0 1.0 1.0 0 0 0 0 1 ;
+2 3 10.0 1.0 1.0 0 0 0 0 1 ;
+"""
+
+ONE_WAY_TRIPS = """
+<NUMBER OF ZONES> 3
+<TOTAL OD FLOW> 120.0
+<END OF METADATA>
+Origin 1
+ 3 : 60.0;
+Origin 3
+ 1 : 60.0;
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-private"], ["audit", "--trials", "2"], ["experiment", "privacy-cost"]],
+    ids=["solve-private", "audit", "privacy-cost"],
+)
+def test_cli_rejects_demand_on_unroutable_pair(tiny_config, tmp_path, capsys, argv):
+    # no path leads from node 3 to node 1; the private solve dropped that
+    # demand without a word and exited 0
+    Path(tiny_config.net_path).write_text(ONE_WAY_NET)
+    Path(tiny_config.trips_path).write_text(ONE_WAY_TRIPS)
+    cfg = write_config(tmp_path, tiny_config)
+    assert cli_main(argv + ["--config", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "input error: no path serves demanded pair (3, 1)" in capsys.readouterr().err
 
 
 def test_cli_byte_identical_reruns(tiny_config, tmp_path):
