@@ -9,8 +9,6 @@ net-flow check at one node.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from . import demand as demand_mod
 from .baseline import detect_od_presence, standard_feasible_flow
 from .dp_sgd import sensitivity_bound
-from .harness import resolve_constants
+from .harness import _format, resolve_constants, write_csv
 
 
 @dataclass(frozen=True)
@@ -40,35 +38,21 @@ class SensitivityReport:
     passed: bool
     strict_passed: bool  # every shift within its bound, with no slack
 
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["trial", "t", "o", "d", "distance", "bound", "ratio"])
-        for row in self.trials:
-            writer.writerow(
-                [
-                    row.trial,
-                    row.day,
-                    row.origin + 1,
-                    row.destination + 1,
-                    "%.17g" % row.distance,
-                    "%.17g" % row.bound,
-                    "%.17g" % row.ratio,
-                ]
-            )
-        writer.writerow(
-            [
-                "summary",
-                "",
-                "",
-                "",
-                "max_ratio=%.17g" % self.max_ratio,
-                "slack=%.17g" % self.slack,
+    def to_csv(self, path):
+        """The audit CSV: one row per trial, then the summary row of verdicts."""
+
+        def rows():
+            for t in self.trials:
+                yield t.trial, t.day, t.origin + 1, t.destination + 1, t.distance, t.bound, t.ratio
+            yield (
+                "summary", "", "", "",
+                "max_ratio=" + _format(self.max_ratio),
+                "slack=" + _format(self.slack),
                 "PASS" if self.passed else "FAIL",
                 "strict=" + ("PASS" if self.strict_passed else "FAIL"),
-            ]
-        )
-        return buf.getvalue()
+            )
+
+        write_csv(path, ["trial", "t", "o", "d", "distance", "bound", "ratio"], rows())
 
 
 def audit_sensitivity(pipeline, trials):

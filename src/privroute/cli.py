@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .audit import audit_sensitivity, demo_impossibility
-from .dp_sgd import PrivacyParams, private_sgd
 from .flow_polytope import ProjectionConvergenceError, decompose_flow
 from .harness import (
     ExperimentConfig,
@@ -23,7 +22,6 @@ from .harness import (
     paths_to_csv,
     policy_from_csv,
     policy_to_csv,
-    resolve_constants,
     run_convergence,
     run_privacy_cost,
     run_sensitivity_sweep,
@@ -42,27 +40,10 @@ def _load_config(args):
     return config
 
 
-def _cmd_solve_private(args):
-    config = _load_config(args)
-    out_dir = output_dir(args.out_dir)
+def _cmd_solve_private(args, config, out_dir):
     pipeline = Pipeline(config)
-    network, latency = pipeline.instance.network, pipeline.instance.latency
-    dataset, avg = pipeline.sample()
-    solution = private_sgd(
-        dataset,
-        network,
-        latency,
-        resolve_constants(config, pipeline.instance, dataset),
-        PrivacyParams(config.epsilon, config.delta),
-        pipeline.x0,
-        seed=config.noise_seeds[0],
-        projector=pipeline.projector,
-        step_tol=config.step_tol,
-        final_tol=config.final_tol,
-        trace_demand=avg,
-        noise_scale=config.noise_scale_override,
-    )
-    policy_to_csv(solution.x_alg, network, out_dir / "policy.csv")
+    solution = pipeline.solve_private(*pipeline.sample())
+    policy_to_csv(solution.x_alg, pipeline.instance.network, out_dir / "policy.csv")
     write_csv(
         out_dir / "cost_trace.csv",
         ["iteration", "regularized_cost", "travel_time"],
@@ -83,9 +64,7 @@ def _cmd_solve_private(args):
     return 0
 
 
-def _cmd_solve_baseline(args):
-    config = _load_config(args)
-    out_dir = output_dir(args.out_dir)
+def _cmd_solve_baseline(args, config, out_dir):
     pipeline = Pipeline(config)
     policy, trace = pipeline.baseline(pipeline.sample()[0], alpha=args.alpha)
     policy_to_csv(policy, pipeline.instance.network, out_dir / "policy.csv")
@@ -95,11 +74,9 @@ def _cmd_solve_baseline(args):
     return 0
 
 
-def _cmd_audit(args):
-    config = _load_config(args)
-    out_dir = output_dir(args.out_dir)
+def _cmd_audit(args, config, out_dir):
     report = audit_sensitivity(Pipeline(config), trials=args.trials)
-    (out_dir / "sensitivity_audit.csv").write_text(report.to_csv())
+    report.to_csv(out_dir / "sensitivity_audit.csv")
     write_metadata(out_dir, "audit", config, trials=args.trials, max_ratio=report.max_ratio,
                    passed=report.passed)
     print(
@@ -109,9 +86,7 @@ def _cmd_audit(args):
     return 0 if report.passed else 2
 
 
-def _cmd_demo_impossibility(args):
-    config = _load_config(args)
-    out_dir = output_dir(args.out_dir)
+def _cmd_demo_impossibility(args, config, out_dir):
     instance = load_instance(config)
     od = (args.origin - 1, args.destination - 1)
     base = np.zeros_like(instance.mean_demand)
@@ -134,28 +109,34 @@ def _cmd_demo_impossibility(args):
     return 0 if report.separated else 2
 
 
-def _cmd_experiment(args):
-    config = _load_config(args)
+def _cmd_experiment(args, config, out_dir):
     runner = {
         "convergence": run_convergence,
         "privacy-cost": run_privacy_cost,
         "sweep": run_sensitivity_sweep,
     }[args.kind]
-    runner(config, args.out_dir)
+    runner(config, out_dir)
     print(f"experiment '{args.kind}' artifacts written under {args.out_dir}")
     return 0
 
 
-def _cmd_decompose(args):
-    config = _load_config(args)
-    out_dir = output_dir(args.out_dir)
+def _cmd_decompose(args, config, out_dir):
     network = load_instance(config).network
+    n = network.node_count
     policy = policy_from_csv(args.policy, network)
+    # the release's conservation tolerance over n - 1 equations, plus what
+    # decompose_flow leaves on each edge below its peel threshold
+    allowance = (n - 1) * config.final_tol + network.edge_count * 1e-12
     distributions = []
     for block in np.flatnonzero(policy.any(axis=1)).tolist():
-        o, d = divmod(block, network.node_count)
-        if o != d:  # a diagonal block routes no pair
-            distributions.append(decompose_flow(policy[block], (o, d), network))
+        o, d = divmod(block, n)
+        dist = decompose_flow(policy[block], (o, d), network)
+        if 1.0 - sum(dist.weights) > allowance:
+            raise ValueError(
+                f"{args.policy}: pair ({o + 1}, {d + 1}): paths carry {sum(dist.weights)!r} "
+                "of its unit flow"
+            )
+        distributions.append(dist)
     paths_to_csv(distributions, network, out_dir / "path_distributions.csv")
     write_metadata(out_dir, "decompose", config, policy=str(args.policy), blocks=len(distributions))
     print(f"path distributions written to {out_dir / 'path_distributions.csv'}")
@@ -213,7 +194,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args), output_dir(args.out_dir))
     except (ValueError, OSError) as exc:  # TNTPFormatError and JSONDecodeError included
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -38,12 +38,10 @@ class DemandDataset:
     Attributes:
         matrices: float array of shape (N, n, n), requests per minute.
         period_minutes: operation-period length T.
-        seed: generation seed when the dataset was sampled, else None.
     """
 
     matrices: np.ndarray
     period_minutes: float
-    seed: int | None = None
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=float)
@@ -85,7 +83,7 @@ def sample_dataset(mean_demand, n_days, period_minutes, seed):
         counts = _day_rng(seed, t + 1).poisson(expected_counts)
         days[t] = counts / period_minutes
         np.fill_diagonal(days[t], 0.0)
-    return DemandDataset(matrices=days, period_minutes=float(period_minutes), seed=seed)
+    return DemandDataset(matrices=days, period_minutes=float(period_minutes))
 
 
 def make_adjacent(dataset, day, od, direction):
@@ -113,9 +111,7 @@ def make_adjacent(dataset, day, od, direction):
         raise ValueError("cannot remove a request from a rate below 1/T")
     matrices = dataset.matrices.copy()
     matrices[day - 1, o, d] = current + step
-    return DemandDataset(
-        matrices=matrices, period_minutes=dataset.period_minutes, seed=dataset.seed
-    )
+    return DemandDataset(matrices=matrices, period_minutes=dataset.period_minutes)
 
 
 def lambda_max(dataset):

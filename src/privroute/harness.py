@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .dp_sgd import (
     PrivacyParams,
     descend,
     perturb_and_project,
+    private_sgd,
     resolve_noise_scale,
 )
 from .flow_polytope import FlowProjector, initial_shortest_path_policy, pair_index
@@ -204,27 +204,23 @@ def solve_baseline(config, instance, dataset, alpha=0.0, x0=None):
 
 class Pipeline:
     """The method's steps on one configured instance: sample the days, descend
-    from the free-flow start, solve the Frank-Wolfe baseline.
+    from the free-flow start, release the final iterate with Gaussian noise,
+    and solve the Frank-Wolfe baseline. It is the one place where config
+    fields become solver arguments: the privacy target, the noise seed and
+    override, and the projection tolerances.
 
     The instance is loaded from the config's files unless one is given, which
     is then used as is. The projector and the start depend only on the
-    topology and the free-flow times, so they are built once and shared by
-    every scenario. The projector is built on first use, so a run that only
-    solves the baseline builds none.
+    topology and the free-flow times, so they are built once, with the
+    pipeline, and shared by every scenario.
     """
 
     def __init__(self, config, instance=None):
         self.config = config
         self.instance = load_instance(config) if instance is None else instance
         self.x0 = initial_shortest_path_policy(self.instance.network)
+        self.projector = FlowProjector(self.instance.network)
         self._given_instance = instance is not None
-        self._base = None  # on a scenario, the pipeline whose projector it shares
-
-    @functools.cached_property
-    def projector(self):
-        if self._base is not None:
-            return self._base.projector
-        return FlowProjector(self.instance.network)
 
     def scenario(self, **changes):
         """This pipeline with the given config fields changed, such as the latency
@@ -237,7 +233,6 @@ class Pipeline:
                 "this pipeline was built on a given instance"
             )
         scenario = copy.copy(self)
-        scenario._base = self if self._base is None else self._base
         scenario.config = dataclasses.replace(self.config, **changes)
         scenario.instance = load_instance(scenario.config)
         return scenario
@@ -260,6 +255,28 @@ class Pipeline:
         return descend(
             dataset, instance.network, instance.latency, constants, self.x0,
             projector=self.projector, step_tol=self.config.step_tol, on_step=on_step,
+        )
+
+    def solve_private(self, dataset, trace_demand):
+        """The private solve of dp_sgd.private_sgd on the dataset: the config's
+        privacy target, first noise seed, noise override and tolerances, and
+        iterate costs recorded at trace_demand."""
+        config, instance = self.config, self.instance
+        return private_sgd(
+            dataset, instance.network, instance.latency,
+            resolve_constants(config, instance, dataset),
+            PrivacyParams(config.epsilon, config.delta), self.x0,
+            seed=config.noise_seeds[0], projector=self.projector, step_tol=config.step_tol,
+            final_tol=config.final_tol, trace_demand=trace_demand,
+            noise_scale=config.noise_scale_override,
+        )
+
+    def release(self, x_pre, sigma, seed):
+        """x_pre plus N(0, sigma^2 I) noise of the given seed, projected back
+        at the config's final tolerance."""
+        return perturb_and_project(
+            x_pre, sigma, seed, self.instance.network,
+            projector=self.projector, final_tol=self.config.final_tol,
         )
 
     def baseline(self, dataset, alpha=0.0):
@@ -303,22 +320,22 @@ def policy_to_csv(policy, network, path):
     """Policy CSV: origin, destination, edge_tail, edge_head, value (zeros omitted)."""
     n = network.node_count
     tails, heads = (network.tails + 1).tolist(), (network.heads + 1).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_POLICY_COLUMNS)
+
+    def rows():
         for block in np.flatnonzero(policy.any(axis=1)).tolist():
             o, d = divmod(block, n)
             edges = np.flatnonzero(policy[block])
-            writer.writerows(
-                (o + 1, d + 1, tails[e], heads[e], "%.17g" % v)
-                for e, v in zip(edges.tolist(), policy[block, edges].tolist())
-            )
+            for e, v in zip(edges.tolist(), policy[block, edges].tolist()):
+                yield o + 1, d + 1, tails[e], heads[e], v
+
+    write_csv(path, _POLICY_COLUMNS, rows())
 
 
 def policy_from_csv(path, network):
     """Read a policy CSV in the layout of policy_to_csv; a bad row, such as
-    one with a non-finite value or one outside [0, 1], or one that repeats an
-    earlier row's pair and edge, raises ValueError naming its 1-based line."""
+    one with a non-finite value or one outside [0, 1], one whose origin is its
+    destination, or one that repeats an earlier row's pair and edge, raises
+    ValueError naming its 1-based line."""
     n = network.node_count
     policy = np.zeros((n * n, network.edge_count))
     seen = np.zeros(policy.shape, dtype=bool)
@@ -344,6 +361,10 @@ def policy_from_csv(path, network):
                 raise ValueError(
                     f"{path}: line {reader.line_num}: node id outside 1..{n} in pair ({o}, {d})"
                 )
+            if o == d:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: pair ({o}, {d}) has its origin as destination"
+                )
             try:
                 e = network.edge_index(tail - 1, head - 1)
             except KeyError:
@@ -362,16 +383,13 @@ def policy_from_csv(path, network):
 
 def paths_to_csv(distributions, network, path):
     """Path-distribution CSV: origin, destination, path (node sequence), weight."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["origin", "destination", "path", "weight"])
-        for dist in distributions:
-            o, d = dist.od
-            for edges, weight in zip(dist.paths, dist.weights):
-                nodes = [int(network.tails[edges[0]]) + 1] + [
-                    int(network.heads[e]) + 1 for e in edges
-                ]
-                writer.writerow([o + 1, d + 1, "-".join(map(str, nodes)), "%.17g" % weight])
+    tails, heads = (network.tails + 1).tolist(), (network.heads + 1).tolist()
+    write_csv(path, ["origin", "destination", "path", "weight"], (
+        (dist.od[0] + 1, dist.od[1] + 1,
+         "-".join(map(str, [tails[edges[0]]] + [heads[e] for e in edges])), weight)
+        for dist in distributions
+        for edges, weight in zip(dist.paths, dist.weights)
+    ))
 
 
 def run_convergence(config, out_dir):
@@ -430,10 +448,7 @@ def run_privacy_cost(config, out_dir):
                     # nothing to repair: the noise-free release is the iterate
                     increases.append(0.0)
                     continue
-                x_alg = perturb_and_project(
-                    x_pre, sigma, seed, instance.network,
-                    projector=pipeline.projector, final_tol=config.final_tol,
-                )
+                x_alg = pipeline.release(x_pre, sigma, seed)
                 cost_alg = travel_time_cost(x_alg, avg, instance.latency)
                 increases.append(100.0 * (cost_alg - cost_pre) / cost_pre)
             rows.append((eps, delta, float(np.mean(increases))))

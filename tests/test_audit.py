@@ -18,6 +18,11 @@ def make_audit_pipeline(ring5, ring5_demand, n_days=10, alpha=1.0):
     )
 
 
+def csv_lines(report, tmp_path):
+    report.to_csv(tmp_path / "audit.csv")
+    return (tmp_path / "audit.csv").read_text().splitlines()
+
+
 def test_audit_passes_on_ring(ring5, ring5_demand):
     report = audit_sensitivity(make_audit_pipeline(ring5, ring5_demand), trials=6)
     assert report.passed
@@ -27,25 +32,25 @@ def test_audit_passes_on_ring(ring5, ring5_demand):
         assert row.distance <= row.bound + 10 * 10 * 1e-6
 
 
-def test_audit_csv_shape(ring5, ring5_demand):
+def test_audit_csv_shape(ring5, ring5_demand, tmp_path):
     report = audit_sensitivity(make_audit_pipeline(ring5, ring5_demand), trials=3)
-    lines = report.to_csv().strip().splitlines()
+    lines = csv_lines(report, tmp_path)
     assert lines[0] == "trial,t,o,d,distance,bound,ratio"
     assert len(lines) == 5  # header + 3 trials + summary
     assert lines[-1].startswith("summary")
     assert lines[-1].endswith("PASS")
 
 
-def test_audit_strict_verdict(ring5, ring5_demand, monkeypatch):
+def test_audit_strict_verdict(ring5, ring5_demand, monkeypatch, tmp_path):
     pipeline = make_audit_pipeline(ring5, ring5_demand)
     report = audit_sensitivity(pipeline, trials=3)
     assert report.strict_passed
-    assert report.to_csv().strip().splitlines()[-1].endswith(",PASS,strict=PASS")
+    assert csv_lines(report, tmp_path)[-1].endswith(",PASS,strict=PASS")
     # bounds a millionth of the true ones: every nonzero shift exceeds them
     monkeypatch.setattr(audit, "sensitivity_bound", lambda *args: 1e-6 * sensitivity_bound(*args))
     report = audit_sensitivity(pipeline, trials=3)
     assert not report.strict_passed
-    assert report.to_csv().strip().splitlines()[-1].endswith("strict=FAIL")
+    assert csv_lines(report, tmp_path)[-1].endswith("strict=FAIL")
 
 
 def test_audit_runs_on_the_pipeline_projector_and_start(ring5, ring5_demand, monkeypatch):

@@ -183,7 +183,7 @@ def test_convergence_ratio_nonincreasing_on_fixed_demand(tmp_path, tiny_config, 
 
     def fixed_sampler(mean, n_days, period, seed):
         return demand_mod.DemandDataset(
-            matrices=np.repeat(fixed[None], n_days, axis=0), period_minutes=period, seed=seed
+            matrices=np.repeat(fixed[None], n_days, axis=0), period_minutes=period
         )
 
     monkeypatch.setattr(demand_mod, "sample_dataset", fixed_sampler)
@@ -359,9 +359,13 @@ HEADER = "origin,destination,edge_tail,edge_head,value\n"
         (HEADER + "1,2,1,2,0.75\n1,2,1,2,-3\n", "line 3"),  # no flow is negative
         # a path of weight 1, and the other 1.5 left in the circulation
         (HEADER + "1,4,1,2,1\n1,4,2,4,2.5\n", "line 3"),
+        # a diagonal block routes no pair, so decompose dropped the row
+        (HEADER + "1,4,1,2,1\n1,4,2,4,1\n3,3,1,2,0.5\n", "line 4"),
+        # half a unit flow, of which no path was written
+        (HEADER + "1,4,1,2,1\n1,4,2,4,1\n1,2,1,3,0.5\n", "pair (1, 2)"),
     ],
     ids=["node-out-of-range", "unknown-edge", "missing-column", "repeated-row", "negative-value",
-         "value-above-one"],
+         "value-above-one", "origin-is-destination", "not-a-unit-flow"],
 )
 def test_cli_decompose_rejects_bad_policy(tiny_config, tmp_path, capsys, text, where):
     cfg = write_config(tmp_path, tiny_config)
@@ -500,6 +504,45 @@ def test_cli_byte_identical_reruns(tiny_config, tmp_path):
     assert len(first) == 21
     assert sum(p.name.endswith("_metadata.json") for p in first) == len(commands)
     assert [p for p in sorted(first) if first[p] != second[p]] == []
+
+
+# SHA-256 of every CSV the commands write on tiny_config, taken before the
+# commands shared one pipeline and one CSV writer
+CSV_DIGESTS = {
+    "baseline/gap_trace.csv": "1baee05aaa083b339a39e8571e35cd6827a237f4761acd6fd5a289837877dec4",
+    "baseline/policy.csv": "54c312b196371709d652a3897c236dbe59d4f1b062285692e717e674a4f0eb59",
+    "convergence/convergence.csv": "72c5611c79e2bd78196f7dd568fa8c6abc6f2e591ae537289639356f187e1182",
+    "convergence/convergence_regularized.csv": "68f1dbab4465a41d41fcc94cae694f24fb94ac3bd5ea0770f9bb05adf86d4c35",
+    "decompose/path_distributions.csv": "7327bd1c51b887a82ec8b9799ded364141efa01850ef1a14e459adbbe779e7cc",
+    "demo/impossibility.csv": "e4fad699c51687a53b0afb5caaf02102c0bbbfc2e3c8bece4dc5c75f041e02d8",
+    "privacy-cost/privacy_cost.csv": "e9c47d9a1ad6459526cd12a45cd0f88e06cc13bf91f9a62ffb67cd29c4e823d4",
+    "private/cost_trace.csv": "e1c7895791341875a83adcf08136ac4a89825edc389ec77a8028d345412c619c",
+    "private/policy.csv": "05444224a889bb5d2baab0bbe6f28299bc0a2f32108b8db071752d0f18698bf6",
+    "sweep/sweep_alpha.csv": "ec623d488d2e59c3799d08d868ffa933ec43a48ef48e5c1e2c3bc97b2982c6b5",
+    "sweep/sweep_demand.csv": "01164186c975e5dae1d7bd20320b5aad3b90c47b0c6583975942acac9df71e2e",
+    "sweep/sweep_latency.csv": "6f97d19983d8e7ced48114581a6b0d1d29c1f6b83b41341ae74945d8c4c1ee25",
+}
+
+
+def test_cli_csv_bytes_are_pinned(tiny_config, tmp_path):
+    cfg = write_config(tmp_path, tiny_config)
+    out = tmp_path / "out"
+    commands = {
+        "private": ["solve-private"],
+        "baseline": ["solve-baseline"],
+        "demo": ["demo-impossibility", "--origin", "1", "--destination", "4"],
+        "convergence": ["experiment", "convergence"],
+        "privacy-cost": ["experiment", "privacy-cost"],
+        "sweep": ["experiment", "sweep"],
+        "decompose": ["decompose", "--policy", str(out / "private" / "policy.csv")],
+    }
+    for name, argv in commands.items():
+        assert cli_main(argv + ["--config", cfg, "--out-dir", str(out / name)]) == 0, argv
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*.csv"))
+    }
+    assert digests == CSV_DIGESTS
 
 
 def test_cli_solve_private_honours_noise_scale_override(tiny_config, tmp_path):
@@ -664,24 +707,6 @@ def test_each_run_builds_one_projector_and_one_start(tiny_config, tmp_path, monk
         assert counts == {"projectors": 1, "starts": 1}, name
 
 
-def test_solve_baseline_builds_no_projector(tiny_config, tmp_path, monkeypatch):
-    # Frank-Wolfe projects nothing, and the pipeline builds its projector on
-    # first use
-    import privroute.flow_polytope as flow_polytope
-
-    built = []
-    build = flow_polytope.FlowProjector.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(flow_polytope.FlowProjector, "__init__", counting)
-    cfg = write_config(tmp_path, tiny_config)
-    assert cli_main(["solve-baseline", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
-    assert built == []
-
-
 def test_privacy_cost_resolves_constants_once(tiny_config, tmp_path, monkeypatch):
     # sigma is calibrated from the constants object the descent ran with
     import privroute.harness as harness
@@ -709,10 +734,9 @@ def test_scenarios_share_one_projector_in_any_order(tiny_config, monkeypatch):
         build(self, *args, **kwargs)
 
     monkeypatch.setattr(flow_polytope.FlowProjector, "__init__", counting)
-    # a scenario made before the pipeline first uses its projector
+    # a scenario made before the pipeline's projector is first read
     pipeline = Pipeline(tiny_config)
     early = pipeline.scenario(sensitivity_factor=3.0)
-    assert built == []
     assert early.projector is pipeline.projector
     assert early.scenario(demand_scale=2.0).projector is pipeline.projector
     # and one made after

@@ -1,6 +1,7 @@
 """Static checks on the package source, parsed with ast: no module keeps an
-unused top-level import or an unused module-level private name, and every
-name in privroute.__all__ resolves and is listed once. The benchmark scripts
+unused top-level import or an unused module-level private name, every
+name in privroute.__all__ resolves and is listed once, and only Pipeline's
+methods pass a solve its projector and tolerances. The benchmark scripts
 are parsed too, so that a rename of what they call fails here first."""
 import ast
 import importlib
@@ -172,3 +173,19 @@ def test_benchmark_traced_names_exist():
             if missing:
                 problems.append(f"ANNOTATE: {name} has no parameter {missing}")
     assert not problems, problems
+
+
+def test_only_pipeline_methods_pass_solver_settings():
+    # which config field becomes the projector and the projection tolerances
+    # of a solve is decided in one place, the methods of harness.Pipeline
+    keywords = {"projector", "step_tol", "final_tol"}
+    passed = []
+    for name in ("cli.py", "audit.py", "harness.py"):
+        for top in _parse(SRC / name).body:
+            if isinstance(top, ast.ClassDef) and top.name == "Pipeline":
+                continue
+            passed += [
+                f"{name}:{node.lineno}: {node.arg}="
+                for node in ast.walk(top) if isinstance(node, ast.keyword) and node.arg in keywords
+            ]
+    assert not passed, f"solver settings passed outside Pipeline: {passed}"
