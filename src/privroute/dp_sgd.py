@@ -80,18 +80,6 @@ def gaussian_noise_scale(constants, n_days, privacy):
     return s / privacy.epsilon * math.sqrt(2.0 * math.log(1.25 / privacy.delta))
 
 
-def resolve_noise_scale(constants, n_days, privacy, override=None):
-    """Noise standard deviation of a release: the calibrated Gaussian-mechanism
-    value, or override when one is given (0 disables the noise)."""
-    if override is None:
-        if privacy is None:
-            raise ValueError("either privacy parameters or noise_scale is required")
-        return gaussian_noise_scale(constants, n_days, privacy)
-    if not (override >= 0 and math.isfinite(override)):
-        raise ValueError("noise_scale must be nonnegative and finite")
-    return float(override)
-
-
 def sample_gaussian(sigma, dim, seed):
     """dim i.i.d. N(0, sigma^2) draws via Box-Muller on Philox uniforms.
 
@@ -232,7 +220,6 @@ def private_sgd(
     step_tol=STEP_PROJECTION_TOL,
     final_tol=FINAL_PROJECTION_TOL,
     trace_demand=None,
-    noise_scale=None,
 ):
     """Full private solve: N projected SGD steps, then output perturbation.
 
@@ -240,16 +227,14 @@ def private_sgd(
         dataset: the demand days, consumed once each in order.
         constants: ModelConstants consistent with the network, latency and
             the dataset's rate bound.
-        privacy: target (epsilon, delta); may be None when noise_scale is
-            given.
+        privacy: target (epsilon, delta), to which the noise is calibrated
+            by gaussian_noise_scale.
         x0: feasible starting policy.
         seed: seed of the Gaussian output perturbation.
         trace_demand: optional fixed matrix at which iterate costs are
             recorded (defaults to each day's own demand).
-        noise_scale: override for the noise standard deviation; None means
-            the calibrated Gaussian-mechanism value.
     """
-    sigma = resolve_noise_scale(constants, dataset.day_count, privacy, noise_scale)
+    sigma = gaussian_noise_scale(constants, dataset.day_count, privacy)
     if projector is None:
         projector = FlowProjector(network)
     trace = CostTrace(latency, constants.alpha, trace_demand)

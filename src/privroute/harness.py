@@ -10,6 +10,8 @@ column as vehicles per hour, which yields a much more congested instance;
 the constants and regularizer defaults below are calibrated for the
 per-minute reading.
 
+Every release carries the Gaussian noise that dp_sgd.gaussian_noise_scale
+calibrates to the run's (epsilon, delta); no configuration field replaces it.
 Every run writes a metadata JSON capturing the fully resolved configuration,
 and all CSV floats use 17 significant digits, so identical configs and seeds
 reproduce byte-identical artifacts.
@@ -35,9 +37,9 @@ from .dp_sgd import (
     CostTrace,
     PrivacyParams,
     descend,
+    gaussian_noise_scale,
     perturb_and_project,
     private_sgd,
-    resolve_noise_scale,
 )
 from .flow_polytope import FlowProjector, initial_shortest_path_policy, pair_index
 from .net_model import affine_latency_from, parse_tntp_network, parse_tntp_trips
@@ -64,7 +66,6 @@ _RULES = {
     "delta": _FRACTION,
     "delta_grid": _FRACTION,
     **dict.fromkeys(("dataset_seed", "noise_seeds"), (lambda v: v >= 0, ">= 0")),
-    "noise_scale_override": (lambda v: v >= 0, "nonnegative"),
 }
 _PATHS = ("net_path", "trips_path")
 _GRIDS = ("n_grid", "epsilon_grid", "delta_grid", "alpha_grid", "factor_grid", "scale_grid",
@@ -101,7 +102,6 @@ class ExperimentConfig:
     max_fw_iters: int = 30000
     step_tol: float = STEP_PROJECTION_TOL
     final_tol: float = FINAL_PROJECTION_TOL
-    noise_scale_override: float | None = None  # None = calibrated sigma; 0 disables noise
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -109,8 +109,6 @@ class ExperimentConfig:
             if name in _PATHS:
                 if not isinstance(value, str):
                     raise ValueError(f"{name} must be a string, not {value!r}")
-                continue
-            if name == "noise_scale_override" and value is None:
                 continue
             if name in _GRIDS:
                 # a string would pass tuple() as a grid of characters
@@ -207,7 +205,8 @@ class Pipeline:
     from the free-flow start, release the final iterate with Gaussian noise,
     and solve the Frank-Wolfe baseline. It is the one place where config
     fields become solver arguments: the privacy target, the noise seed and
-    override, and the projection tolerances.
+    the projection tolerances. No field sets the noise scale: every release
+    of solve_private is calibrated to the config's (epsilon, delta).
 
     The instance is loaded from the config's files unless one is given, which
     is then used as is. The projector and the start depend only on the
@@ -259,8 +258,8 @@ class Pipeline:
 
     def solve_private(self, dataset, trace_demand):
         """The private solve of dp_sgd.private_sgd on the dataset: the config's
-        privacy target, first noise seed, noise override and tolerances, and
-        iterate costs recorded at trace_demand."""
+        privacy target, first noise seed and tolerances, and iterate costs
+        recorded at trace_demand."""
         config, instance = self.config, self.instance
         return private_sgd(
             dataset, instance.network, instance.latency,
@@ -268,7 +267,6 @@ class Pipeline:
             PrivacyParams(config.epsilon, config.delta), self.x0,
             seed=config.noise_seeds[0], projector=self.projector, step_tol=config.step_tol,
             final_tol=config.final_tol, trace_demand=trace_demand,
-            noise_scale=config.noise_scale_override,
         )
 
     def release(self, x_pre, sigma, seed):
@@ -426,7 +424,8 @@ def run_convergence(config, out_dir):
 
 def run_privacy_cost(config, out_dir):
     """Percentage travel-time increase of the noisy release over the final
-    iterate, per (epsilon, delta) cell, averaged over the noise seeds."""
+    iterate, per (epsilon, delta) cell, averaged over the noise seeds; each
+    cell's noise is calibrated to its own (epsilon, delta)."""
     out_dir = output_dir(out_dir)
     pipeline = Pipeline(config)
     instance = pipeline.instance
@@ -438,16 +437,10 @@ def run_privacy_cost(config, out_dir):
     sigmas = {}
     for eps in sorted(config.epsilon_grid):
         for delta in sorted(config.delta_grid):
-            sigma = resolve_noise_scale(
-                constants, dataset.day_count, PrivacyParams(eps, delta), config.noise_scale_override
-            )
+            sigma = gaussian_noise_scale(constants, dataset.day_count, PrivacyParams(eps, delta))
             sigmas[f"{eps},{delta}"] = sigma
             increases = []
             for seed in config.noise_seeds:
-                if sigma == 0.0:
-                    # nothing to repair: the noise-free release is the iterate
-                    increases.append(0.0)
-                    continue
                 x_alg = pipeline.release(x_pre, sigma, seed)
                 cost_alg = travel_time_cost(x_alg, avg, instance.latency)
                 increases.append(100.0 * (cost_alg - cost_pre) / cost_pre)

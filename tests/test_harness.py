@@ -85,9 +85,16 @@ def test_config_json_round_trip(tiny_config):
     assert dataclasses.asdict(back) == dataclasses.asdict(tiny_config)
 
 
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        ExperimentConfig.from_json('{"nonsense": 1}')
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # noise_scale_override was removed, so that every release is calibrated;
+    # a config that still sets it fails at load instead of being ignored
+    for text in ('{"nonsense": 1}', '{"noise_scale_override": 0}'):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_json(text)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"noise_scale_override": 0}')
+    assert cli_main(["solve-private", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "input error: unknown config keys: ['noise_scale_override']" in capsys.readouterr().err
 
 
 def test_config_validation():
@@ -143,13 +150,6 @@ def test_run_privacy_cost_artifacts(tiny_config, tmp_path):
     assert len(lines) == 1 + 2  # two epsilons, one delta
     eps_order = [float(l.split(",")[0]) for l in lines[1:]]
     assert eps_order == sorted(eps_order)
-
-
-def test_run_privacy_cost_zero_noise_is_exactly_zero(tiny_config, tmp_path):
-    config = dataclasses.replace(tiny_config, noise_scale_override=0.0)
-    path = run_privacy_cost(config, tmp_path / "pc0")
-    for line in path.read_text().splitlines()[1:]:
-        assert float(line.split(",")[2]) == 0.0
 
 
 def test_run_sweep_single_point_degenerates(tiny_config, tmp_path):
@@ -545,15 +545,6 @@ def test_cli_csv_bytes_are_pinned(tiny_config, tmp_path):
     assert digests == CSV_DIGESTS
 
 
-def test_cli_solve_private_honours_noise_scale_override(tiny_config, tmp_path):
-    config = dataclasses.replace(tiny_config, noise_scale_override=0.0)
-    cfg = write_config(tmp_path, config)
-    out = tmp_path / "quiet"
-    assert cli_main(["solve-private", "--config", cfg, "--out-dir", str(out)]) == 0
-    meta = json.loads((out / "solve_private_metadata.json").read_text())
-    assert meta["sigma"] == 0.0
-
-
 def test_sweep_solves_alpha_baseline_once(tiny_config, tmp_path, monkeypatch):
     # the alpha grid shares one dataset and one unregularized baseline, and a
     # latency or demand scenario equal to the base config (factor 2.0, scale
@@ -592,7 +583,6 @@ def test_config_rejects_non_finite_values(tiny_config, tmp_path):
         ("step_tol", "NaN"),
         ("alpha", "Infinity"),
         ("sensitivity_factor", "NaN"),
-        ("noise_scale_override", "Infinity"),
         ("epsilon_grid", "[0.1, NaN]"),
     ]:
         text = json.dumps({k: v for k, v in base.items() if k != key})
@@ -636,8 +626,8 @@ def test_config_rejects_wrong_types(tmp_path, capsys, text, message):
 def test_config_keeps_integer_literals(tmp_path, capsys):
     # an integer is a valid number and stays an integer, so the resolved
     # config, and with it every metadata file, keeps the user's literal
-    config = ExperimentConfig.from_json('{"alpha": 1, "noise_scale_override": 0}')
-    assert type(config.alpha) is int and type(config.noise_scale_override) is int
+    config = ExperimentConfig.from_json('{"alpha": 1, "gap_tol_rel": 1}')
+    assert type(config.alpha) is int and type(config.gap_tol_rel) is int
     assert '"alpha": 1,' in config.to_json()
     # --seed goes through the same checks as the config file
     out = tmp_path / "out"
