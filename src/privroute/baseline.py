@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from .flow_polytope import UnreachablePairError, _tree_support, initial_shortest_path_policy
+from .flow_polytope import (
+    UnreachablePairError,
+    _tree_support,
+    check_feasible_start,
+    initial_shortest_path_policy,
+    reachability,
+)
 
 
 def frank_wolfe_solve(
@@ -29,7 +35,9 @@ def frank_wolfe_solve(
     the directional curvature vanishes. The start is the free-flow
     shortest-path policy; a caller that already built it passes it as x0,
     which is copied, never written. A negative or non-finite alpha, gap_tol
-    or demand rate raises ValueError, naming the first bad pair (1-based).
+    or demand rate raises ValueError, naming the first bad pair (1-based),
+    as does an x0 that is not a feasible policy (flow_polytope's
+    check_feasible_start).
     """
     if not (0 <= alpha < math.inf):
         raise ValueError("alpha must be nonnegative and finite")
@@ -45,7 +53,10 @@ def frank_wolfe_solve(
     positive = np.nonzero(demand_vec)[0]
     slope, free_flow = latency.slope, latency.free_flow
 
-    X = initial_shortest_path_policy(network) if x0 is None else np.array(x0, dtype=float)
+    if x0 is None:
+        X = initial_shortest_path_policy(network)
+    else:
+        X = check_feasible_start(x0, network, reachability(network)).copy()
     unserved = positive[~X.any(axis=1)[positive]]  # the start routes every routable pair
     if unserved.size:
         o, d = divmod(int(unserved[0]), n)

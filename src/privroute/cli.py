@@ -124,12 +124,24 @@ def _cmd_decompose(args, config, out_dir):
     network = load_instance(config).network
     n = network.node_count
     policy = policy_from_csv(args.policy, network)
+    incidence = network.incidence_matrix()
     # the release's conservation tolerance over n - 1 equations, plus what
     # decompose_flow leaves on each edge below its peel threshold
     allowance = (n - 1) * config.final_tol + network.edge_count * 1e-12
     distributions = []
     for block in np.flatnonzero(policy.any(axis=1)).tolist():
         o, d = divmod(block, n)
+        # net inflow less that of a unit o -> d flow; decompose_flow would
+        # leave any excess in the circulation, which is not written
+        excess = incidence @ policy[block]
+        excess[o] += 1.0
+        excess[d] -= 1.0
+        v = int(np.argmax(np.abs(excess)))
+        if abs(excess[v]) > allowance:
+            raise ValueError(
+                f"{args.policy}: pair ({o + 1}, {d + 1}): net inflow at node {v + 1} differs "
+                f"from a unit flow's by {float(excess[v])!r}"
+            )
         dist = decompose_flow(policy[block], (o, d), network)
         if 1.0 - sum(dist.weights) > allowance:
             raise ValueError(

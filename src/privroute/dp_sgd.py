@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_polytope import FlowProjector, UnreachablePairError
+from .flow_polytope import FlowProjector, UnreachablePairError, check_feasible_start
 from .objective import gradient, regularized_cost, travel_time_cost
 
 STEP_PROJECTION_TOL = 1e-6
@@ -114,27 +114,6 @@ def sample_gaussian(sigma, dim, seed):
     return z
 
 
-def _check_feasible_start(x0, projector, tol=1e-6):
-    network = projector.network
-    n, m = network.node_count, network.edge_count
-    X = np.asarray(x0, dtype=float).reshape(n * n, m)
-    if np.any(X < -1e-9) or np.any(X > 1 + 1e-9):
-        raise ValueError("x0 violates the per-edge [0, 1] bounds")
-    # a routable block's net inflow must be -1 at o and +1 at d, any other
-    # block's zero everywhere
-    blocks = np.arange(n * n)
-    o, d = np.divmod(blocks, n)
-    routable = ((o != d) & projector.reachable(o, d)).astype(float)
-    error = X @ network.incidence_matrix().T
-    error[blocks, o] += routable
-    error[blocks, d] -= routable
-    bad = np.flatnonzero(np.abs(error).max(axis=1) > tol)
-    if bad.size:
-        o, d = divmod(int(bad[0]), n)
-        raise ValueError(f"x0 block ({o + 1}, {d + 1}) is not a unit flow")
-    return X
-
-
 class CostTrace:
     """Step observer of descend that records each iterate's regularized cost
     and travel time, at demand when one is given and at the day's own demand
@@ -164,18 +143,19 @@ def descend(
     """Run the N projected gradient steps of the private solver (no noise) and
     return the final iterate.
 
-    Each day's demand is read by exactly one step, in dataset order.
-    on_step, when given, is called as on_step(k, X, demand): at k = 0 with
-    the checked start and day 1's demand, then after step k with its iterate
-    and day k's demand. Demand on a pair with no directed path, on any day,
-    raises UnreachablePairError before the first step, naming the first such
-    pair in row-major order.
+    Each day's demand is read by exactly one step, in dataset order. x0
+    must pass flow_polytope.check_feasible_start. on_step, when given, is
+    called as on_step(k, X, demand): at k = 0 with the checked start and day
+    1's demand, then after step k with its iterate and day k's demand.
+    Demand on a pair with no directed path, on any day, raises
+    UnreachablePairError before the first step, naming the first such pair
+    in row-major order.
     """
     if projector is None:
         projector = FlowProjector(network)
-    X = _check_feasible_start(x0, projector)
+    X = check_feasible_start(x0, network, projector.reach)
     demanded = np.flatnonzero(dataset.matrices.any(axis=0))
-    unserved = demanded[~projector.reachable(*np.divmod(demanded, network.node_count))]
+    unserved = demanded[~projector.reach[np.divmod(demanded, network.node_count)]]
     if unserved.size:
         o, d = divmod(int(unserved[0]), network.node_count)
         raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")

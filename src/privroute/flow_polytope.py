@@ -105,13 +105,36 @@ def reachability(network):
     return reach > 0
 
 
+def check_feasible_start(x0, network, reach, tol=1e-6):
+    """x0 as an (n*n, m) float array (a view when it already is one), checked
+    to be a feasible policy: every entry finite and in [0, 1] up to 1e-9, the
+    net inflow of every routable block within tol of -1 at o and +1 at d, and
+    of every other block within tol of zero. reach is reachability(network).
+    A violation raises ValueError, naming the first bad block (1-based)."""
+    n, m = network.node_count, network.edge_count
+    X = np.asarray(x0, dtype=float).reshape(n * n, m)
+    if not (X.min() >= -1e-9 and X.max() <= 1 + 1e-9):  # NaN fails too
+        raise ValueError("x0 violates the per-edge [0, 1] bounds")
+    error = X @ network.incidence_matrix().T
+    o, d = np.nonzero(reach & ~np.eye(n, dtype=bool))  # the routable pairs
+    blocks = o * n + d
+    error[blocks, o] += 1.0
+    error[blocks, d] -= 1.0
+    np.abs(error, out=error)
+    if error.max() > tol:
+        o, d = divmod(int(np.flatnonzero(error.max(axis=1) > tol)[0]), n)
+        raise ValueError(f"x0 block ({o + 1}, {d + 1}) is not a unit flow")
+    return X
+
+
 class FlowProjector:
     """Euclidean projection onto unit-flow polytopes of one network.
 
     The conservation equations share one reduced incidence matrix across all
     od pairs, so its normal matrix is factored once and reused, and the
     routable pairs of the network are listed once; the projector is
-    read-only after construction and safe to share.
+    read-only after construction and safe to share. reach is the network's
+    reachability matrix: reach[o, d] iff a directed o -> d path exists.
     """
 
     def __init__(self, network):
@@ -124,8 +147,8 @@ class FlowProjector:
         # pseudo-inverse: the (n-1) x (n-1) normal matrix is tiny, and this
         # also covers graphs whose underlying undirected graph is disconnected
         self._gram_solve_T = np.ascontiguousarray(np.linalg.pinv(gram).T)
-        self._reach = reachability(network)
-        routable = self._reach & ~np.eye(n, dtype=bool)
+        self.reach = reachability(network)
+        routable = self.reach & ~np.eye(n, dtype=bool)
         self._pairs = np.argwhere(routable)  # row-major: sorted by (o, d)
         self._pair_rows = self._pairs[:, 0] * n + self._pairs[:, 1]
 
@@ -163,7 +186,7 @@ class FlowProjector:
             raise ValueError("tol must be positive and finite")
         od = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         o, d = od[:, 0], od[:, 1]
-        bad = np.flatnonzero((o == d) | ~self._reach[o, d])
+        bad = np.flatnonzero((o == d) | ~self.reach[o, d])
         if bad.size:
             first_o, first_d = int(o[bad[0]]), int(d[bad[0]])
             if first_o == first_d:
@@ -247,10 +270,6 @@ class FlowProjector:
         raise ProjectionConvergenceError(
             float(residual.max()), _MAX_DYKSTRA_ITERS, od[active].tolist()
         )
-
-    def reachable(self, o, d):
-        """Whether a directed o -> d path exists; o and d may be index arrays."""
-        return self._reach[o, d]
 
     def routable_pairs(self):
         """Ordered (o, d) pairs with o != d and a directed path between them."""

@@ -263,6 +263,28 @@ def test_frank_wolfe_leaves_x0_untouched(sioux_falls):
     assert pipeline.x0.tobytes() == before
 
 
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        (-1.0, r"^x0 violates the per-edge \[0, 1\] bounds$"),
+        (3.0, r"^x0 violates the per-edge \[0, 1\] bounds$"),
+        (0.5, r"^x0 block \(1, 2\) is not a unit flow$"),
+        (np.nan, r"^x0 violates the per-edge \[0, 1\] bounds$"),
+    ],
+    ids=["negated", "tripled", "halved", "nan"],
+)
+def test_frank_wolfe_rejects_infeasible_start(sioux_falls, scale, message):
+    # a negated start returned after one iteration with a negative cost, and
+    # a tripled one ran all its iterations; a caller's start obeys the rule
+    # that descend applies
+    x0 = scale * initial_shortest_path_policy(sioux_falls.network)
+    with pytest.raises(ValueError, match=message):
+        frank_wolfe_solve(
+            sioux_falls.mean_demand, sioux_falls.network, sioux_falls.latency,
+            gap_tol=1e-6, max_iters=50, x0=x0,
+        )
+
+
 def _frank_wolfe_peak(sioux_falls, alpha):
     # tracemalloc peak of five Frank-Wolfe iterations, in policy arrays
     x0 = initial_shortest_path_policy(sioux_falls.network)

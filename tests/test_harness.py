@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from privroute.audit import audit_sensitivity
 from privroute.cli import main as cli_main
-from privroute.dp_sgd import PrivacyParams, private_sgd
+from privroute.dp_sgd import PrivacyParams, private_sgd, sensitivity_bound
 from privroute.harness import (
     ExperimentConfig,
     Instance,
@@ -25,6 +26,7 @@ from privroute.harness import (
     run_privacy_cost,
     run_sensitivity_sweep,
 )
+from privroute.objective import ModelConstants
 
 TINY_NET = """
 <NUMBER OF NODES> 4
@@ -363,9 +365,12 @@ HEADER = "origin,destination,edge_tail,edge_head,value\n"
         (HEADER + "1,4,1,2,1\n1,4,2,4,1\n3,3,1,2,0.5\n", "line 4"),
         # half a unit flow, of which no path was written
         (HEADER + "1,4,1,2,1\n1,4,2,4,1\n1,2,1,3,0.5\n", "pair (1, 2)"),
+        # a unit path 1->2 plus a flow 1->3->4->3 that sends two units out of
+        # node 1 and into node 3; decompose wrote the path and dropped the rest
+        (HEADER + "1,2,1,2,1\n1,2,1,3,1\n1,2,3,4,1\n1,2,4,3,1\n", "pair (1, 2)"),
     ],
     ids=["node-out-of-range", "unknown-edge", "missing-column", "repeated-row", "negative-value",
-         "value-above-one", "origin-is-destination", "not-a-unit-flow"],
+         "value-above-one", "origin-is-destination", "not-a-unit-flow", "flow-not-conserved"],
 )
 def test_cli_decompose_rejects_bad_policy(tiny_config, tmp_path, capsys, text, where):
     cfg = write_config(tmp_path, tiny_config)
@@ -543,6 +548,59 @@ def test_cli_csv_bytes_are_pinned(tiny_config, tmp_path):
         for path in sorted(out.rglob("*.csv"))
     }
     assert digests == CSV_DIGESTS
+
+
+def gaussian_delta(epsilon, sigma, s):
+    """Exact delta(epsilon) of the Gaussian mechanism with noise sigma at
+    sensitivity s (Balle & Wang, ICML 2018, Theorem 8)."""
+    def phi(x):  # the standard normal CDF
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    a, b = s / (2.0 * sigma), epsilon * sigma / s
+    return phi(a - b) - math.exp(epsilon) * phi(-a - b)
+
+
+def recorded_privacy_cost_deltas(config, out_dir):
+    """(epsilon, delta, exact delta(epsilon)) of every privacy-cost cell, at
+    the sigma that the run's metadata records and the sensitivity bound of
+    its own dataset."""
+    run_privacy_cost(config, out_dir)
+    meta = json.loads((out_dir / "privacy_cost_metadata.json").read_text())
+    pipeline = Pipeline(config)
+    dataset, _ = pipeline.sample()
+    s = sensitivity_bound(resolve_constants(config, pipeline.instance, dataset), dataset.day_count)
+    cells = []
+    for cell, sigma in meta["sigma"].items():
+        epsilon, delta = map(float, cell.split(","))
+        cells.append((epsilon, delta, gaussian_delta(epsilon, sigma, s)))
+    return cells
+
+
+def test_recorded_sigma_meets_its_delta(tiny_config, tmp_path):
+    # the release is (epsilon, delta)-private iff the exact profile at the
+    # sigma it used stays within delta
+    out = tmp_path / "private"
+    assert cli_main(["solve-private", "--out-dir", str(out)]) == 0  # the default config
+    meta = json.loads((out / "solve_private_metadata.json").read_text())
+    s = sensitivity_bound(ModelConstants(**meta["constants"]), meta["config"]["n_days"])
+    cells = [(meta["epsilon"], meta["delta"], gaussian_delta(meta["epsilon"], meta["sigma"], s))]
+    config = dataclasses.replace(tiny_config, epsilon_grid=(0.1, 0.5, 2.0))
+    cells += recorded_privacy_cost_deltas(config, tmp_path / "pc")
+    assert len(cells) == 4
+    for epsilon, delta, exact in cells:
+        assert 0 < exact <= delta, (epsilon, delta, exact)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the classic sigma does not meet delta = 0.1 at epsilon = 10 "
+    "(exact delta(epsilon) 0.41); item 1's calibration must make this pass",
+)
+def test_recorded_sigma_meets_its_delta_at_large_epsilon(tiny_config, tmp_path):
+    # criterion 4 releases at (10, 0.1)
+    config = dataclasses.replace(tiny_config, epsilon_grid=(10.0,), delta_grid=(0.1,))
+    [(epsilon, delta, exact)] = recorded_privacy_cost_deltas(config, tmp_path / "pc")
+    assert exact <= delta, (epsilon, delta, exact)
 
 
 def test_sweep_solves_alpha_baseline_once(tiny_config, tmp_path, monkeypatch):
