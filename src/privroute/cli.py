@@ -78,7 +78,7 @@ def _cmd_audit(args, config, out_dir):
     report = audit_sensitivity(Pipeline(config), trials=args.trials)
     report.to_csv(out_dir / "sensitivity_audit.csv")
     write_metadata(out_dir, "audit", config, trials=args.trials, max_ratio=report.max_ratio,
-                   passed=report.passed)
+                   passed=report.passed, strict_passed=report.strict_passed)
     print(
         f"audit {'PASS' if report.passed else 'FAIL'}: max ratio {report.max_ratio:.4g} "
         f"(slack {report.slack:.3g}) strict={'PASS' if report.strict_passed else 'FAIL'}"

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_polytope import FlowProjector, UnreachablePairError, check_feasible_start
-from .objective import gradient, regularized_cost, travel_time_cost
+from .flow_polytope import (
+    FlowProjector,
+    UnreachablePairError,
+    check_feasible_start,
+    kept_vertex_rows,
+)
+from .objective import edge_costs, gradient, regularized_cost, travel_time_cost
 
 STEP_PROJECTION_TOL = 1e-6
 FINAL_PROJECTION_TOL = 1e-8
@@ -144,7 +149,13 @@ def descend(
     return the final iterate.
 
     Each day's demand is read by exactly one step, in dataset order. x0
-    must pass flow_polytope.check_feasible_start. on_step, when given, is
+    must pass flow_polytope.check_feasible_start. The routable rows that are
+    exact 0/1 paths (those of x0 at first, then those kept at the previous
+    step) are checked with flow_polytope.kept_vertex_rows at each step; a
+    row that passes is handed to the step projection as its vertex, which
+    is the exact projection of its step and comes back as it is. Every step
+    still projects the whole policy with project_policy, and the other rows
+    run Dykstra's method to step_tol. on_step, when given, is
     called as on_step(k, X, demand): at k = 0 with the checked start and day
     1's demand, then after step k with its iterate and day k's demand.
     Demand on a pair with no directed path, on any day, raises
@@ -160,6 +171,11 @@ def descend(
         o, d = divmod(int(unserved[0]), network.node_count)
         raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
     alpha, beta = constants.alpha, constants.beta
+    n = network.node_count
+    routable = (projector.reach & ~np.eye(n, dtype=bool)).reshape(n * n)
+    # routable rows that are exact vertices: the 0/1 rows of the start, then
+    # the rows kept at the previous step
+    vertices = np.flatnonzero(routable & ((X == 0.0) | (X == 1.0)).all(axis=1))
     first_day = dataset.day(1)
     if on_step is not None:
         on_step(0, X, first_day)
@@ -168,7 +184,13 @@ def descend(
         # the step X - eta g, formed in the gradient's array
         step = gradient(X, lam, latency, alpha)
         step *= step_size(k, alpha, beta)
-        X = projector.project_policy(np.subtract(X, step, out=step), tol=step_tol)
+        np.subtract(X, step, out=step)
+        if vertices.size:
+            costs = edge_costs(X, lam, latency)  # those inside the gradient
+            vertices = vertices[kept_vertex_rows(X, vertices, lam, costs, alpha, network)]
+            # a kept row's projection is its vertex, which projects to itself
+            step[vertices] = X[vertices]
+        X = projector.project_policy(step, tol=step_tol)
         del step  # not held through on_step and the next gradient
         if on_step is not None:
             on_step(k, X, lam)

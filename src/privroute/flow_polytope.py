@@ -32,6 +32,13 @@ Math. 2015). Either phase stops on the same test, and for any multipliers
 y the point x = clip(v + A^T y, 0, 1) is the exact projection of v onto the
 polytope with right-hand side A x: a returned row is the exact projection
 for a right-hand side within tol of b in each reduced equation.
+
+Two cases need no iteration. A row that already lies in its polytope, in
+the box with a zero residual, is its own projection and is returned as it
+is. And kept_vertex_rows certifies, from one all-pairs distance matrix
+under the shared edge costs, which 0/1 path rows a projected gradient step
+of the regularized cost leaves exactly in place, for any step size; the
+descent hands those rows their vertex, which is then such a feasible row.
 """
 from __future__ import annotations
 
@@ -165,10 +172,13 @@ class FlowProjector:
         """Project each row of V onto the unit-flow polytope of its pair.
 
         pairs is a sequence of (o, d) or an integer array of shape (rows, 2).
-        Returns an array of the same shape as V. The rows run as one batch of
-        the dual Dykstra loop (module docstring). Each block iterates until
-        its own successive change drops to tol/10 and the residual of its
-        n - 1 reduced conservation equations (all nodes but the last) to tol;
+        Returns an array of the same shape as V. A row inside the box with a
+        zero residual is returned unchanged, without an iteration; the other
+        rows run as one batch of the dual Dykstra loop (module docstring),
+        the batch that a call with those rows alone runs. Each block
+        iterates until its own successive change drops to tol/10 and the
+        residual of its n - 1 reduced conservation equations (all nodes but
+        the last) to tol;
         converged blocks are frozen so stragglers do not re-run the whole
         batch. The last node's net-inflow error is minus the sum of the
         others, so it is held only to (n - 1) * tol. Raises ValueError for a
@@ -207,6 +217,17 @@ class FlowProjector:
         A, A_T, G_T = self._A_reduced, self._A_reduced_T, self._gram_solve_T
         B = self._rhs(o, d)
         R = V @ A_T - B  # residual of the start: the first step is the affine projection
+        # a row inside the box with a zero residual is its own projection; the
+        # rest run as the batch that a call without such rows would run
+        zero = np.flatnonzero(~R.any(axis=1))
+        inside = zero[((V[zero] >= 0.0) & (V[zero] <= 1.0)).all(axis=1)]
+        if inside.size:
+            out[inside] = V[inside]
+            active = np.delete(active, inside)
+            if not active.size:
+                return out
+            V, B = V[active], B[active]
+            R = V @ A_T - B
         lam = np.zeros_like(R)
         # momentum state (module docstring), allocated when the second phase
         # starts and only for the rows still active then: y is the point X
@@ -415,6 +436,69 @@ def _tree_support(network, costs):
         more = cur != o
         rows, o, cur = rows[more], o[more], cur[more]
     return tuple(map(np.concatenate, zip(*walked)))
+
+
+def all_pairs_distances(edge_costs, network):
+    """(n, n) costs of the cheapest o -> d paths under nonnegative edge
+    costs, inf where no path exists: Floyd-Warshall, one vectorized
+    relaxation through each intermediate node."""
+    n = network.node_count
+    dist = np.full((n, n), np.inf)
+    np.minimum.at(dist, (network.tails, network.heads), edge_costs)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    return dist
+
+
+def kept_vertex_rows(X, rows, demand, edge_costs, alpha, network):
+    """Boolean mask over rows: which 0/1 rows of policy X a projected
+    gradient step of the regularized cost leaves exactly in place.
+
+    Each listed row must be a routable block (o, d) holding an exact 0/1
+    unit flow p. Its gradient block is g = L(o,d) edge_costs + alpha p with
+    the shared edge_costs of objective.edge_costs, and P(p - eta g) = p for
+    every step eta > 0 exactly when p minimizes <g, x> over the polytope:
+    as g >= 0, when p is a cheapest o -> d path under g. With D the
+    all-pairs distances under edge_costs, the reduced cost of an edge that
+    o reaches is r = cost + D[o, tail] - D[o, head]. The edge is tight when
+    |r| <= t_o, the rounding allowance 2 n eps (max D[o] + max cost); edges
+    into o are left out, as no simple path from o uses them. A row is kept
+    when
+    - every edge of p is tight, so p is a cheapest path under edge_costs;
+    - every node of p after o has exactly one tight in-edge, so p is the
+      only one;
+    - L(o,d) (rho_o - 4 n t_o) >= alpha |p|, with rho_o the smallest
+      reduced cost from o that is not tight (negative fails).
+    Walking back from d along tight edges retraces p, so any other simple
+    o -> d path q uses an edge with r >= rho_o. The reduced costs telescope
+    along paths, each is exact to within t_o, and so
+    <g, q - p> >= L(o,d) (rho_o - 4 n t_o) - alpha |p| >= 0. No state is
+    carried between calls.
+    """
+    n, tails, heads = network.node_count, network.tails, network.heads
+    rows = np.asarray(rows, dtype=np.intp)
+    origins = rows // n
+    dist = all_pairs_distances(edge_costs, network)
+    reached = np.isfinite(dist)
+    allowance = 2 * n * np.finfo(float).eps * (
+        np.where(reached, dist, 0.0).max(axis=1) + edge_costs.max(initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf on edges that o does not reach
+        reduced = edge_costs + dist[:, tails] - dist[:, heads]
+    reduced[~reached[:, tails]] = np.nan
+    reduced[heads, np.arange(heads.size)] = np.nan  # row o: the edges into o
+    size = np.abs(reduced)
+    tight, off = size <= allowance[:, None], size > allowance[:, None]  # NaN is neither
+    o, e = np.nonzero(tight)
+    tight_in = np.bincount(o * n + heads[e], minlength=n * n).reshape(n, n)
+    # per origin and edge: 1 off a unique tight path, and 1 for the length
+    weights = np.ones((n, heads.size, 2))
+    weights[:, :, 0] = ~(tight & (tight_in[:, heads] == 1))
+    misses, length = np.matmul(X.reshape(n, n, -1), weights).reshape(n * n, 2)[rows].T
+    rho = np.where(off, reduced, np.inf).min(axis=1) - 4 * n * allowance
+    with np.errstate(invalid="ignore"):  # 0 * inf: no rate, no other path
+        margin = np.asarray(demand, dtype=float).reshape(n * n)[rows] * rho[origins]
+    return (misses == 0.0) & (margin >= alpha * length)
 
 
 def initial_shortest_path_policy(network, edge_costs=None):

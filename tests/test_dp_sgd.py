@@ -17,15 +17,18 @@ from privroute.dp_sgd import (
     sensitivity_bound,
     step_size,
 )
+from privroute import dp_sgd
 from privroute.baseline import frank_wolfe_solve
 from privroute.flow_polytope import (
     FlowProjector,
     UnreachablePairError,
     initial_shortest_path_policy,
     pair_index,
+    shortest_path_tree,
 )
 from privroute.net_model import LatencyModel, affine_latency_from
-from privroute.objective import ModelConstants, compute_constants, regularized_cost
+from privroute.harness import ExperimentConfig, Pipeline, resolve_constants
+from privroute.objective import ModelConstants, compute_constants, gradient, regularized_cost
 from conftest import integer_grid
 
 
@@ -152,9 +155,59 @@ def test_private_sgd_bits_are_pinned_on_grid():
     )
     digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (solution.x_pre, solution.x_alg)]
     assert digests == [
-        "8256c489b8dac7a3196e9d33b103509d94717c429618002dc794c84ba6144721",
-        "6ee0cd41e3f67d2201002cab813e805c6878df4a0240eb915958c5a6aefa766e",
+        "f323e69d52b764b1f78d36ba1fd9a493d434ccdd6015e35ffd890fe472bc9630",
+        "7d3d4a55a913e6f0d6ff3f3db19380ce3724fa7e38063dfee2bd7d79633922f5",
     ]
+
+
+def test_kept_vertex_rows_are_exact_on_the_default_descent(monkeypatch):
+    # the default Sioux Falls descent: at every step, the rows it keeps on
+    # their vertex are what a 1e-12 projection of their step returns, and
+    # each vertex is a cheapest path under its own gradient row
+    pipeline = Pipeline(ExperimentConfig())
+    network, latency = pipeline.instance.network, pipeline.instance.latency
+    dataset, _ = pipeline.sample()
+    constants = resolve_constants(pipeline.config, pipeline.instance, dataset)
+    alpha, n = constants.alpha, network.node_count
+    kept_vertex_rows = dp_sgd.kept_vertex_rows
+    calls = []
+
+    def recorded(X, rows, demand, costs, alpha, network):
+        kept = kept_vertex_rows(X, rows, demand, costs, alpha, network)
+        calls.append((X.copy(), np.asarray(rows)[kept], demand))
+        return kept
+
+    monkeypatch.setattr(dp_sgd, "kept_vertex_rows", recorded)
+    x_pre = pipeline.descend(dataset, constants)
+    assert len(calls) == dataset.day_count
+    for k, (X, rows, demand) in enumerate(calls, start=1):
+        assert rows.size >= 500
+        g = gradient(X, demand, latency, alpha)[rows]
+        step = X[rows] - step_size(k, alpha, constants.beta) * g
+        pairs = np.column_stack(np.divmod(rows, n))
+        exact = pipeline.projector.project_rows(step, pairs, tol=1e-12)
+        assert np.max(np.abs(exact - X[rows])) <= 1e-12
+        for row, p, g_row in zip(rows.tolist(), X[rows], g):
+            o, d = divmod(row, n)
+            dist = shortest_path_tree(o, g_row, network)[0]
+            assert g_row @ p <= dist[d] * (1 + 1e-12)
+    assert np.array_equal(x_pre[rows], X[rows])
+
+
+def test_descend_without_kept_rows_is_the_plain_loop(sioux_falls):
+    # at alpha = 1e3 the regularizer pulls every row off its vertex at the
+    # first step, so the descent is gradient, step and project_policy, bit for bit
+    config = ExperimentConfig()
+    pipeline = Pipeline(config, sioux_falls)
+    network, latency = sioux_falls.network, sioux_falls.latency
+    dataset, _ = pipeline.sample()
+    constants = resolve_constants(config, sioux_falls, dataset, alpha=1e3)
+    X = pipeline.x0
+    for k in range(1, dataset.day_count + 1):
+        step = step_size(k, constants.alpha, constants.beta) * gradient(
+            X, dataset.day(k), latency, constants.alpha)
+        X = pipeline.projector.project_policy(X - step, tol=config.step_tol)
+    assert np.array_equal(pipeline.descend(dataset, constants), X)
 
 
 def test_solver_leaves_its_arguments_unchanged(ring5, ring5_demand):

@@ -8,8 +8,10 @@ from privroute.flow_polytope import (
     FlowProjector,
     ProjectionConvergenceError,
     UnreachablePairError,
+    all_pairs_distances,
     decompose_flow,
     initial_shortest_path_policy,
+    kept_vertex_rows,
     pair_index,
     project_unit_flow,
     reachability,
@@ -224,6 +226,118 @@ def test_project_policy_chunks_match_project_rows(sioux_falls, monkeypatch):
     assert np.array_equal(out, expected)
     assert np.max(np.abs(out - whole)) <= 1e-15
     assert np.array_equal(x, kept)
+
+
+def test_project_rows_returns_feasible_rows_without_iterating(sioux_falls, monkeypatch):
+    # exactly feasible rows (0/1 paths and an exact half-half mix) come back
+    # as they are; the other rows run as the batch a call without them runs
+    projector, pairs, rows, x = _noisy_sioux_policy(sioux_falls)
+    pairs, rows = np.array(pairs), np.array(rows)
+    x0 = initial_shortest_path_policy(sioux_falls.network)
+    mixed = x[rows]
+    feasible = np.arange(0, len(rows), 3)
+    mixed[feasible] = x0[rows[feasible]]
+    # a second path, cheapest under reversed free-flow times, on the first
+    # pair where it differs
+    other = initial_shortest_path_policy(
+        sioux_falls.network, sioux_falls.network.free_flow_time[::-1].copy())
+    split = next(i for i in range(1, len(rows), 3) if (other[rows[i]] != x0[rows[i]]).any())
+    mixed[split] = 0.5 * (x0[rows[split]] + other[rows[split]])
+    feasible = np.union1d(feasible, [split])
+    others = np.setdiff1d(np.arange(len(rows)), feasible)
+    out = projector.project_rows(mixed, pairs, tol=1e-8)
+    assert np.array_equal(out[feasible], mixed[feasible])
+    assert np.array_equal(out[others], projector.project_rows(mixed[others], pairs[others], tol=1e-8))
+    # no row can freeze in one iteration, so with a cap of one only a batch
+    # of feasible rows returns
+    monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 1)
+    kept = projector.project_rows(mixed[feasible], pairs[feasible], tol=1e-8)
+    assert np.array_equal(kept, mixed[feasible])
+    with pytest.raises(ProjectionConvergenceError):
+        projector.project_rows(mixed, pairs, tol=1e-8)
+
+
+def test_all_pairs_distances_match_dijkstra():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        net = make_random_network(rng, int(rng.integers(3, 9)))
+        costs = rng.uniform(0.0, 2.0, net.edge_count)
+        dist = all_pairs_distances(costs, net)
+        for o in range(net.node_count):
+            assert np.allclose(dist[o], shortest_path_tree(o, costs, net)[0], rtol=1e-12)
+
+
+def _diamond(costs):
+    # edges 0 -> 1 -> 3 and 0 -> 2 -> 3, plus 1 -> 2 and 2 -> 1 between them
+    edges = [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2), (2, 1)]
+    return Network(
+        node_count=4, tails=[e[0] for e in edges], heads=[e[1] for e in edges],
+        free_flow_time=costs, capacity=[1.0] * len(edges),
+    )
+
+
+def _vertex_step(net, path, rate, alpha):
+    """Whether kept_vertex_rows keeps row (0, 3) of a policy holding the 0/1
+    row path, with the (0, 3) rate and free-flow edge costs, and the exact
+    projection of the step p - g at that row, g = rate * costs + alpha * p."""
+    costs = net.free_flow_time
+    X = np.zeros((16, net.edge_count))
+    p = np.zeros(net.edge_count)
+    p[list(path)] = 1.0
+    X[3] = p
+    demand = np.zeros((4, 4))
+    demand[0, 3] = rate
+    kept = kept_vertex_rows(X, [3], demand, costs, alpha, net)
+    step = p - (rate * costs + alpha * p)
+    moved = FlowProjector(net).project_rows(step[None], [(0, 3)], tol=1e-12)
+    return bool(kept[0]), moved[0], p
+
+
+def test_kept_vertex_row_is_its_projection():
+    # 0 -> 1 -> 3 costs 2, 0 -> 2 -> 3 costs 2.1, 0 -> 1 -> 2 -> 3 costs 3:
+    # a margin of 0.1 holds the path against alpha |p| = 0.02
+    kept, moved, p = _vertex_step(_diamond([1.0, 1.0, 1.1, 1.0, 1.0, 1.0]), [0, 1], 1.0, 0.01)
+    assert kept
+    assert np.max(np.abs(moved - p)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "costs, path, rate, alpha",
+    [
+        # a free-flow tie: 0 -> 2 -> 3 is as cheap, so node 3 has two tight in-edges
+        ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0, 1], 1.0, 0.01),
+        # the margin 0.1 does not hold the path against alpha |p| = 2
+        ([1.0, 1.0, 1.1, 1.0, 1.0, 1.0], [0, 1], 1.0, 1.0),
+        # no demand that day: only the regularizer acts, and it spreads the row
+        ([1.0, 1.0, 1.1, 1.0, 1.0, 1.0], [0, 1], 0.0, 0.01),
+        # a 0/1 row carrying the cycle 1 -> 2 -> 1 beside its path: 2 -> 1 is not tight
+        ([1.0, 1.0, 3.0, 1.0, 1.0, 1.0], [0, 1, 4, 5], 1.0, 0.01),
+    ],
+    ids=["tie", "margin", "no-demand", "cycle"],
+)
+def test_vertex_row_that_moves_is_not_kept(costs, path, rate, alpha):
+    # each case breaks one condition of the certificate, and its step
+    # really leaves the vertex
+    kept, moved, p = _vertex_step(_diamond(costs), path, rate, alpha)
+    assert not kept
+    assert np.max(np.abs(moved - p)) > 1e-3
+
+
+def test_vertex_row_with_a_free_cycle_through_its_origin_is_not_kept():
+    # 0 -> 3 plus the zero-cost cycle 0 -> 1 -> 0: every edge of the row is
+    # on a zero reduced cost, but an edge into the origin lies on no simple
+    # path from it, and the cycle only adds regularization cost
+    edges = [(0, 3), (0, 1), (1, 0), (1, 3)]
+    net = Network(
+        node_count=4, tails=[e[0] for e in edges], heads=[e[1] for e in edges],
+        free_flow_time=[1.0, 0.0, 0.0, 5.0], capacity=[1.0] * 4,
+    )
+    kept, moved, p = _vertex_step(net, [0, 1, 2], 1.0, 0.01)
+    assert not kept
+    assert np.max(np.abs(moved - p)) > 1e-3
+    kept, moved, p = _vertex_step(net, [0], 1.0, 0.01)
+    assert kept
+    assert np.max(np.abs(moved - p)) <= 1e-12
 
 
 def test_project_policy_on_edgeless_network():

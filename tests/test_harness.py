@@ -324,6 +324,18 @@ def test_cli_audit_bytes_are_pinned(tiny_config, tmp_path):
     assert digest == "8b02b4f7d17723f2fa27b2e85a80ace6f2e919db6874bfcaa0fcd3a064a668be"
 
 
+def test_cli_audit_metadata_records_both_verdicts(tiny_config, tmp_path):
+    # the metadata carries the strict verdict beside the slack one, as the
+    # report that the CSV summarizes has them
+    cfg = write_config(tmp_path, tiny_config)
+    out = tmp_path / "audit"
+    assert cli_main(["audit", "--config", cfg, "--out-dir", str(out), "--trials", "2"]) == 0
+    meta = json.loads((out / "audit_metadata.json").read_text())
+    report = audit_sensitivity(Pipeline(tiny_config), trials=2)
+    assert (meta["passed"], meta["strict_passed"]) == (report.passed, report.strict_passed)
+    assert meta["max_ratio"] == report.max_ratio
+
+
 def test_cli_demo_impossibility(tiny_config, tmp_path):
     cfg = write_config(tmp_path, tiny_config)
     out = tmp_path / "demo"
