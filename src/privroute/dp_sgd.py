@@ -190,6 +190,7 @@ def descend(
             vertices = vertices[kept_vertex_rows(X, vertices, lam, costs, alpha, network)]
             # a kept row's projection is its vertex, which projects to itself
             step[vertices] = X[vertices]
+        del X  # not held through the projection
         X = projector.project_policy(step, tol=step_tol)
         del step  # not held through on_step and the next gradient
         if on_step is not None:

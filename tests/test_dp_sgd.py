@@ -17,7 +17,7 @@ from privroute.dp_sgd import (
     sensitivity_bound,
     step_size,
 )
-from privroute import dp_sgd
+from privroute import dp_sgd, flow_polytope
 from privroute.baseline import frank_wolfe_solve
 from privroute.flow_polytope import (
     FlowProjector,
@@ -158,6 +158,17 @@ def test_private_sgd_bits_are_pinned_on_grid():
         "f323e69d52b764b1f78d36ba1fd9a493d434ccdd6015e35ffd890fe472bc9630",
         "7d3d4a55a913e6f0d6ff3f3db19380ce3724fa7e38063dfee2bd7d79633922f5",
     ]
+
+
+def test_private_sgd_memory_peak_on_grid_at_two_workers(monkeypatch):
+    # two chunks in flight, within the same 5 policy arrays
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 2)
+    test_private_sgd_memory_peak_on_grid()
+
+
+def test_private_sgd_bits_are_pinned_on_grid_at_two_workers(monkeypatch):
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 2)
+    test_private_sgd_bits_are_pinned_on_grid()
 
 
 def test_kept_vertex_rows_are_exact_on_the_default_descent(monkeypatch):

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +325,23 @@ def test_vertex_row_that_moves_is_not_kept(costs, path, rate, alpha):
     assert np.max(np.abs(moved - p)) > 1e-3
 
 
+def test_kept_vertex_rows_gathered_match_the_whole_policy_product(sioux_falls):
+    # Sioux Falls x0 at day-like demand: all 552 rows take the product over
+    # the whole policy, every 12th row alone is gathered; the masks agree
+    network = sioux_falls.network
+    n = network.node_count
+    projector = FlowProjector(network)
+    _, rows = _routable_rows(projector)
+    X = initial_shortest_path_policy(network)
+    demand = np.random.default_rng(3).uniform(0.0, 0.2, (n, n))
+    costs = 2.0 * network.free_flow_time
+    whole = kept_vertex_rows(X, rows, demand, costs, 0.05, network)
+    few = rows[::12]
+    assert 8 * len(few) < n * n <= 8 * len(rows)
+    assert 0 < whole[::12].sum() < len(few)
+    assert np.array_equal(kept_vertex_rows(X, few, demand, costs, 0.05, network), whole[::12])
+
+
 def test_vertex_row_with_a_free_cycle_through_its_origin_is_not_kept():
     # 0 -> 3 plus the zero-cost cycle 0 -> 1 -> 0: every edge of the row is
     # on a zero reduced cost, but an edge into the origin lies on no simple
@@ -400,6 +419,76 @@ def test_momentum_convergence_error_aggregates_chunks(sioux_falls, monkeypatch):
     assert chunked.value.unconverged == whole.value.unconverged
     assert chunked.value.pairs == whole.value.pairs
     assert chunked.value.residual == pytest.approx(whole.value.residual, rel=1e-12)
+
+
+def test_project_policy_convergence_error_aggregates_chunks_at_two_workers(diamond4, monkeypatch):
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 2)
+    test_project_policy_convergence_error_aggregates_chunks(diamond4, monkeypatch)
+
+
+def test_project_policy_names_first_non_finite_pair_at_two_workers(diamond4, monkeypatch):
+    # the later chunk's NaN may be seen first; the first bad row is still named
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 2)
+    test_project_policy_names_first_non_finite_pair(diamond4, monkeypatch)
+
+
+def test_momentum_convergence_error_aggregates_chunks_at_two_workers(sioux_falls, monkeypatch):
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 2)
+    test_momentum_convergence_error_aggregates_chunks(sioux_falls, monkeypatch)
+
+
+def test_project_policy_threads_match_one_thread(sioux_falls, monkeypatch):
+    # more threads than cores, 23 chunks and a short switch interval: every
+    # chunk is projected once, into its own rows, bit for bit as on one thread
+    projector, _, _, x = _noisy_sioux_policy(sioux_falls)
+    monkeypatch.setattr(flow_polytope, "_CHUNK_BYTES", 24 * x.shape[1] * x.itemsize)
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 1)
+    serial = projector.project_policy(x, tol=1e-6)
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [projector.project_policy(x, tol=1e-6) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for out in threaded:
+        assert np.array_equal(out, serial)
+
+
+def test_one_chunk_policy_stays_on_the_calling_thread(sioux_falls, monkeypatch):
+    # Sioux Falls fits one chunk: at two workers no pool is made for it
+    def no_pool(threads):
+        raise AssertionError("a one-chunk policy left the calling thread")
+
+    monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 2)
+    monkeypatch.setattr(flow_polytope, "_chunk_pool", no_pool)
+    projector, pairs, rows, x = _noisy_sioux_policy(sioux_falls)
+    out = projector.project_policy(x, tol=1e-6)
+    assert np.array_equal(out[rows], projector.project_rows(x[rows], pairs, tol=1e-6))
+
+
+@pytest.mark.parametrize(
+    "env, workers",
+    [
+        ({}, 1),  # OpenBLAS runs one thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "one"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "64"}, 1),
+    ],
+    ids=["unset", "openblas", "omp", "openblas-first", "first-integer", "zero", "word", "oversized"],
+)
+def test_chunk_workers_leave_blas_its_cpus(env, workers, monkeypatch):
+    # two CPUs, divided by the threads OpenBLAS reads from the environment
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert flow_polytope._chunk_workers() == workers
 
 
 def test_project_rows_empty_input(diamond4):
