@@ -9,6 +9,7 @@ net-flow check at one node.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,10 @@ def audit_sensitivity(pipeline, trials):
         constants = resolve_constants(config, instance, adjacent)
         bound = sensitivity_bound(constants, config.n_days)
         x_a, x_b = (pipeline.descend(twin, constants) for twin in (dataset, adjacent))
-        distance = float(np.linalg.norm(x_a - x_b))
+        # summed by numpy itself, as BLAS's threaded dot inside np.linalg.norm
+        # gives other bits at other thread counts
+        shift = x_a - x_b
+        distance = math.sqrt(np.einsum("ij,ij->", shift, shift))
         rows.append(
             SensitivityTrial(
                 trial=trial,

@@ -71,7 +71,9 @@ def frank_wolfe_solve(
         # one tree per origin covers all pairs
         costs = np.outer(demand_vec, edge_costs) + alpha * X if alpha else edge_costs
         rows, edges = _tree_support(network, costs)
-        square = float(np.vdot(X, X)) if alpha else 0.0  # ||X||^2
+        # ||X||^2, summed by numpy itself: BLAS's threaded dot gives other bits
+        # at other thread counts
+        square = float(np.einsum("ij,ij->", X, X)) if alpha else 0.0
         x_s = X[rows, edges]
         overlap = float(x_s.sum())  # <X, S>; S is 0/1, so ||S||^2 = rows.size
         y_dir = np.bincount(edges, weights=demand_vec[rows], minlength=y.size) - y  # L (S - X)

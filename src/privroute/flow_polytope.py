@@ -38,8 +38,9 @@ polytope with right-hand side A x: a returned row is the exact projection
 for a right-hand side within tol of b in each reduced equation.
 
 Two cases need no iteration. A row that already lies in its polytope, in
-the box with a zero residual, is its own projection and is returned as it
-is. And kept_vertex_rows certifies, from one all-pairs distance matrix
+the box with a zero residual, is its own projection: project_rows finds
+such rows before it forms the batch and returns them as they are, without
+copying them into the batch's buffers. And kept_vertex_rows certifies, from one all-pairs distance matrix
 under the shared edge costs, which 0/1 path rows a projected gradient step
 of the regularized cost leaves exactly in place, for any step size; the
 descent hands those rows their vertex, which is then such a feasible row.
@@ -182,19 +183,22 @@ class FlowProjector:
         """Project each row of V onto the unit-flow polytope of its pair.
 
         pairs is a sequence of (o, d) or an integer array of shape (rows, 2).
-        Returns an array of the same shape as V. A row inside the box with a
-        zero residual is returned unchanged, without an iteration; the other
-        rows run as one batch of the dual Dykstra loop (module docstring),
-        the batch that a call with those rows alone runs. Each block
-        iterates until its own successive change drops to tol/10 and the
-        residual of its n - 1 reduced conservation equations (all nodes but
-        the last) to tol;
-        converged blocks are frozen so stragglers do not re-run the whole
-        batch. The last node's net-inflow error is minus the sum of the
-        others, so it is held only to (n - 1) * tol. Raises ValueError for a
-        non-finite tol or entry of V, UnreachablePairError if a pair has no
-        directed path, and ProjectionConvergenceError at the iteration cap,
-        naming the unconverged pairs in row order.
+        Returns an array of the same shape as V. The feasible rows are found
+        first, by one residual product and a box test: a row inside the box
+        with a zero residual is returned unchanged, without an iteration,
+        and is not copied into the batch's buffers. Only the other rows are
+        checked for finiteness (a row inside the box is finite), and they
+        run as one batch of the dual Dykstra loop (module docstring), the
+        batch that a call with those rows alone runs, bit for bit. Each
+        block iterates until its own successive change drops to tol/10 and
+        the residual of its n - 1 reduced conservation equations (all nodes
+        but the last) to tol; converged blocks are frozen so stragglers do
+        not re-run the whole batch. The last node's net-inflow error is
+        minus the sum of the others, so it is held only to (n - 1) * tol.
+        Raises ValueError for a non-finite tol or entry of V,
+        UnreachablePairError if a pair has no directed path (checked
+        first), and ProjectionConvergenceError at the iteration cap, naming
+        the unconverged pairs in row order.
 
         The multipliers start at zero in every call, and nothing is kept
         between calls. The release projection must not start from the
@@ -202,9 +206,11 @@ class FlowProjector:
         added before the release does not cover them, and the released
         policy would then depend on them.
 
-        With overwrite_V, V (when a float array already) serves as one of
-        the batch's buffers and holds the returned rows, which saves a
-        (rows, m) buffer for a caller that no longer needs V.
+        With overwrite_V, V (when a float array already) holds the returned
+        rows, and the feasible rows stay where they are; when at least half
+        of the rows run, V also serves as one of the batch's buffers while
+        the few feasible rows wait in a copy. That saves a (rows, m) buffer
+        for a caller that no longer needs V.
         """
         if not (tol > 0 and math.isfinite(tol)):
             raise ValueError("tol must be positive and finite")
@@ -219,30 +225,60 @@ class FlowProjector:
                 f"no path from {first_o + 1} to {first_d + 1}: the flow polytope is empty"
             )
         V = np.asarray(V, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
+        rows, A_T = V.shape[0], self._A_reduced_T
+        B = self._rhs(o, d)
+        with np.errstate(invalid="ignore"):  # a non-finite row fails the check below
+            R = V @ A_T - B  # residual of the start: the first step is the affine projection
+        # a row inside the box with a zero residual is its own projection and
+        # stays where it is; a row inside the box is finite, so only the
+        # others are checked, and they run as the batch that a call with
+        # them alone runs
+        inside = V >= 0.0
+        inside &= V <= 1.0
+        rest = np.flatnonzero(R.any(axis=1) | ~inside.all(axis=1))
+        del inside
+        if not rest.size:
+            return V if overwrite_V else V.copy()
+        batch = V if rest.size == rows else V[rest]
+        bad = np.flatnonzero(~np.isfinite(batch).all(axis=1))
         if bad.size:
-            raise ValueError(
-                f"non-finite entry in the row of pair ({o[bad[0]] + 1}, {d[bad[0]] + 1})"
-            )
-        store, order = self._dykstra(V, od, tol, own_V=overwrite_V)
-        out = V if overwrite_V else np.empty_like(store)
-        out[order] = store
+            first_o, first_d = od[rest[bad[0]]]
+            raise ValueError(f"non-finite entry in the row of pair ({first_o + 1}, {first_d + 1})")
+        if rest.size == rows:
+            store, order = self._dykstra(V, od, B, R, tol, overwrite_V, [])
+            out = V if overwrite_V else np.empty_like(store)
+            out[order] = store
+            return out
+        out = V if overwrite_V else V.copy()
+        # the batch's rows of R are those of its own call, as a GEMM row does
+        # not depend on the rows beside it; a one-row product runs GEMV,
+        # which can differ in the last bits
+        od, B = od[rest], B[rest]
+        R = R[rest] if rest.size > 1 else batch @ A_T - B
+        if overwrite_V and 2 * rest.size >= rows:
+            # most rows run: the few feasible ones wait in a copy, and V
+            # serves the batch as a buffer, as it does when every row runs
+            feasible = np.delete(np.arange(rows), rest)
+            saved = V[feasible]
+            store, order = self._dykstra(batch, od, B, R, tol, True, [V])
+            V[feasible] = saved
+        else:
+            store, order = self._dykstra(batch, od, B, R, tol, True, [])
+        out[rest[order]] = store
         return out
 
-    def _dykstra(self, V, od, tol, own_V):
-        # The rows of V projected by the dual loop (module docstring), each
-        # stored from the end of `store` as it freezes, its row number in
-        # `order`: while k rows are active, store[:k] is a spare buffer.
-        # X, previous and V (once read, when own_V) rotate through each
-        # other and the buffers in `dead` as the active rows are compacted,
-        # so a batch holds V, store and two more (rows, m) buffers.
-        o, d = od[:, 0], od[:, 1]
+    def _dykstra(self, V, od, B, R, tol, own_V, dead):
+        # The rows of V projected by the dual loop (module docstring), from
+        # the residual R = V A^T - B of their start, each stored from the end
+        # of `store` as it freezes, its row number in `order`: while k rows
+        # are active, store[:k] is a spare buffer. X, previous and V (once
+        # read, when own_V) rotate through each other and the buffers in
+        # `dead`, which are no longer read (the caller's, then the batch's),
+        # as the active rows are compacted, so a batch holds V, store and
+        # two more (rows, m) buffers.
         k = V.shape[0]
         store, order = np.empty(V.shape), np.empty(k, dtype=np.intp)
         active = np.arange(k)  # rows not yet frozen
-        if not k:
-            return store, order
-        dead = []  # (rows, m) buffers no longer read, used before allocating
 
         def buffer():
             return dead.pop()[:k] if dead else np.empty((k, store.shape[1]))
@@ -267,23 +303,6 @@ class FlowProjector:
             a[...] = moved
             return a
 
-        B = self._rhs(o, d)
-        R = V @ A_T - B  # residual of the start: the first step is the affine projection
-        # a row inside the box with a zero residual is its own projection; the
-        # rest run as the batch that a call without such rows would run
-        zero = np.flatnonzero(~R.any(axis=1))
-        inside = zero[((V[zero] >= 0.0) & (V[zero] <= 1.0)).all(axis=1)]
-        if inside.size:
-            k -= inside.size
-            np.take(V, inside, axis=0, out=store[k:], mode="clip")
-            order[k:] = inside
-            if not k:
-                return store, order
-            active = np.delete(active, inside)
-            if own_V:
-                dead.append(V)
-            V, B, own_V = V[active], B[active], True
-            R = V @ A_T - B
         lam = np.zeros_like(R)
         # momentum state (module docstring), allocated when the second phase
         # starts and only for the rows still active then: y is the point X
@@ -375,21 +394,34 @@ class FlowProjector:
         are cut into chunks of _CHUNK_BYTES per (rows, m) buffer, and each
         chunk is gathered and handed to project_rows on its own, so no
         full-size copy of x is made. Each row follows the same iterates, up
-        to rounding, as in one batch. The chunks run on _chunk_workers()
-        threads, the calling thread among them: more than one only when BLAS
-        runs fewer threads than there are CPUs and the policy has more than
-        one chunk. The chunk boundaries, and so the output bits, do not
-        depend on the thread count. Every chunk finishes before an error is
-        raised: the first error other than a ProjectionConvergenceError in
-        row order, or else one ProjectionConvergenceError that names the
-        unconverged pairs of all chunks in row order.
+        to rounding, as in one batch. Rows that already lie in their
+        polytope, as the rows that a descent step keeps on their vertex do,
+        cost a chunk its gather, one residual product and a box test, and
+        only the others iterate (project_rows). The chunks run on
+        _chunk_workers() threads, the calling thread among them: more than
+        one only when BLAS runs fewer threads than there are CPUs and the
+        policy has more than one chunk (a one-chunk policy, such as Sioux
+        Falls, never reads the rule). The chunk boundaries, and so the
+        output bits, do not depend on the thread count. Every chunk
+        finishes before an error is raised: the first error other than a
+        ProjectionConvergenceError in row order, or else one
+        ProjectionConvergenceError that names the unconverged pairs of all
+        chunks in row order.
         """
         n, m = self.network.node_count, self.network.edge_count
         X = np.asarray(x, dtype=float).reshape(n * n, m)
-        out = np.zeros((n * n, m))
         chunk = max(1, _CHUNK_BYTES // max(1, 8 * m))
-        # at least one chunk, so that a policy with no routable pair still checks tol
-        starts = range(0, max(1, self._pair_rows.size), chunk)
+        if self._pair_rows.size <= chunk:
+            # one chunk, on the calling thread. The output is made once the
+            # chunk is projected: made first, it left a descent's step
+            # arrays a heap layout that glibc trimmed and regrew at every
+            # step (dp_sgd.descend)
+            projected = self.project_rows(X[self._pair_rows], self._pairs, tol=tol, overwrite_V=True)
+            out = np.zeros((n * n, m))
+            out[self._pair_rows] = projected
+            return out
+        out = np.zeros((n * n, m))
+        starts = range(0, self._pair_rows.size, chunk)
         errors = [None] * len(starts)
         untaken, taking = iter(enumerate(starts)), threading.Lock()
 
@@ -407,8 +439,7 @@ class FlowProjector:
                 except Exception as err:  # raised below, in row order
                     errors[i] = err
 
-        # a one-chunk policy runs on the calling thread without reading the rule
-        workers = min(len(starts), _chunk_workers()) if len(starts) > 1 else 1
+        workers = min(len(starts), _chunk_workers())
         pool = self._helpers(workers - 1) if workers > 1 else None
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
         try:

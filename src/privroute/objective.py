@@ -92,14 +92,23 @@ def gradient(x, demand, latency, alpha):
     demand = np.asarray(demand, dtype=float)
     n = demand.shape[0]
     X = _as_policy(x, n, np.asarray(x).size // (n * n))
-    g = np.outer(demand.reshape(n * n), edge_costs(X, demand, latency))
+    return gradient_rows(X, slice(None), demand, edge_costs(X, demand, latency), alpha)
+
+
+def gradient_rows(X, rows, demand, costs, alpha):
+    """Rows of the gradient at the stacked policy X, given its shared edge
+    costs (edge_costs(X, demand, latency)): L(o,d) * costs + alpha * X[od]
+    for each block od of X[rows]. rows is an index array, or slice(None)
+    for the whole gradient."""
+    X = X[rows]  # a view for a slice, the gathered rows for an index array
+    g = np.outer(np.asarray(demand, dtype=float).reshape(-1)[rows], costs)
     # alpha X joins a cache-sized block of rows at a time: a temporary the
     # size of the policy costs more in fresh pages than the sum itself (a
     # 64-node grid gradient took 4.8 ms with it and 2.8 ms without on a
     # 2-vCPU machine)
-    rows = max(1, _BLOCK_BYTES // max(1, g[:1].nbytes))
-    for start in range(0, g.shape[0], rows):
-        g[start : start + rows] += alpha * X[start : start + rows]
+    block = max(1, _BLOCK_BYTES // max(1, g[:1].nbytes))
+    for start in range(0, g.shape[0], block):
+        g[start : start + block] += alpha * X[start : start + block]
     return g
 
 

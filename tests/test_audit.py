@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,3 +135,39 @@ def test_demo_impossibility_with_background_demand(ring5):
 def test_audit_trials_validation(ring5, ring5_demand):
     with pytest.raises(ValueError):
         audit_sensitivity(make_audit_pipeline(ring5, ring5_demand), trials=0)
+
+
+# Prints the SHA-256 of 15 alpha = 100 Frank-Wolfe iterations on Sioux Falls
+# (policy and trace) and the exact bits of one default audit trial's shift.
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from privroute.audit import audit_sensitivity
+from privroute.baseline import frank_wolfe_solve
+from privroute.harness import ExperimentConfig, Pipeline
+pipeline = Pipeline(ExperimentConfig())
+instance = pipeline.instance
+X, trace = frank_wolfe_solve(instance.mean_demand, instance.network, instance.latency,
+                             alpha=100.0, gap_tol=1e-300, max_iters=15)
+digest = hashlib.sha256(X.tobytes())
+digest.update(np.array(trace).tobytes())
+print(digest.hexdigest(), audit_sensitivity(pipeline, trials=1).trials[0].distance.hex())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # every sum that reaches an output is numpy's own, not a threaded BLAS
+    # dot, so one and two BLAS threads print the same bytes
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err.decode()
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

@@ -28,7 +28,13 @@ from privroute.flow_polytope import (
 )
 from privroute.net_model import LatencyModel, affine_latency_from
 from privroute.harness import ExperimentConfig, Pipeline, resolve_constants
-from privroute.objective import ModelConstants, compute_constants, gradient, regularized_cost
+from privroute.objective import (
+    ModelConstants,
+    compute_constants,
+    edge_costs,
+    gradient,
+    regularized_cost,
+)
 from conftest import integer_grid
 
 
@@ -160,6 +166,27 @@ def test_private_sgd_bits_are_pinned_on_grid():
     ]
 
 
+def test_private_sgd_bits_are_pinned_on_sioux_falls():
+    # the default solve on the benchmark's first Sioux Falls dataset, where
+    # 502 of the 552 routable rows stay on their vertex at every step
+    config = ExperimentConfig()
+    pipeline = Pipeline(config)
+    instance = pipeline.instance
+    seed = int(np.random.SeedSequence((1, 1)).generate_state(1)[0] >> 1)
+    dataset = sample_dataset(instance.mean_demand, config.n_days, config.period_minutes, seed=seed)
+    solution = private_sgd(
+        dataset, instance.network, instance.latency,
+        resolve_constants(config, instance, dataset), PrivacyParams(config.epsilon, config.delta),
+        pipeline.x0, 0, projector=pipeline.projector, step_tol=config.step_tol,
+        final_tol=config.final_tol,
+    )
+    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (solution.x_pre, solution.x_alg)]
+    assert digests == [
+        "108165b22873ca5af3f825d5b5d3da33109d0fd08964d8315c8c87f9e0e190f8",
+        "0f5e35d30eede99e2c4dc8fe21551c056c8e7130d19071e321ddb86b01daafed",
+    ]
+
+
 def test_private_sgd_memory_peak_on_grid_at_two_workers(monkeypatch):
     # two chunks in flight, within the same 5 policy arrays
     monkeypatch.setattr(flow_polytope, "_chunk_workers", lambda: 2)
@@ -218,6 +245,30 @@ def test_descend_without_kept_rows_is_the_plain_loop(sioux_falls):
         step = step_size(k, constants.alpha, constants.beta) * gradient(
             X, dataset.day(k), latency, constants.alpha)
         X = pipeline.projector.project_policy(X - step, tol=config.step_tol)
+    assert np.array_equal(pipeline.descend(dataset, constants), X)
+
+
+def test_descend_with_kept_rows_is_the_reference_loop(sioux_falls):
+    # at the default alpha most rows stay on their vertex, and the descent,
+    # which forms the step only on the rows that move, is bit for bit the
+    # loop that forms it on every row and resets the kept rows to X
+    config = ExperimentConfig()
+    pipeline = Pipeline(config, sioux_falls)
+    network, latency = sioux_falls.network, sioux_falls.latency
+    dataset, _ = pipeline.sample()
+    constants = resolve_constants(config, sioux_falls, dataset)
+    alpha, n = constants.alpha, network.node_count
+    routable = (pipeline.projector.reach & ~np.eye(n, dtype=bool)).reshape(n * n)
+    X = pipeline.x0
+    vertices = np.flatnonzero(routable & ((X == 0.0) | (X == 1.0)).all(axis=1))
+    for k in range(1, dataset.day_count + 1):
+        demand = dataset.day(k)
+        costs = edge_costs(X, demand, latency)
+        vertices = vertices[flow_polytope.kept_vertex_rows(X, vertices, demand, costs, alpha, network)]
+        assert vertices.size >= 500
+        step = X - step_size(k, alpha, constants.beta) * gradient(X, demand, latency, alpha)
+        step[vertices] = X[vertices]
+        X = pipeline.projector.project_policy(step, tol=config.step_tol)
     assert np.array_equal(pipeline.descend(dataset, constants), X)
 
 

@@ -250,6 +250,12 @@ def test_project_rows_returns_feasible_rows_without_iterating(sioux_falls, monke
     out = projector.project_rows(mixed, pairs, tol=1e-8)
     assert np.array_equal(out[feasible], mixed[feasible])
     assert np.array_equal(out[others], projector.project_rows(mixed[others], pairs[others], tol=1e-8))
+    # one row among feasible ones runs as a call with it alone does, whose
+    # residual comes from a one-row product
+    for i in others[:12]:
+        batch = np.union1d(feasible, [i])
+        out = projector.project_rows(mixed[batch], pairs[batch], tol=1e-8)
+        assert np.array_equal(out[batch == i], projector.project_rows(mixed[[i]], pairs[[i]], tol=1e-8))
     # no row can freeze in one iteration, so with a cap of one only a batch
     # of feasible rows returns
     monkeypatch.setattr(flow_polytope, "_MAX_DYKSTRA_ITERS", 1)
@@ -257,6 +263,46 @@ def test_project_rows_returns_feasible_rows_without_iterating(sioux_falls, monke
     assert np.array_equal(kept, mixed[feasible])
     with pytest.raises(ProjectionConvergenceError):
         projector.project_rows(mixed, pairs, tol=1e-8)
+
+
+def test_project_rows_returns_a_batch_of_feasible_rows_unchanged(sioux_falls):
+    # with overwrite_V the result is V itself, without it a new array; V
+    # holds its rows either way
+    projector = FlowProjector(sioux_falls.network)
+    pairs, rows = _routable_rows(projector)
+    paths = initial_shortest_path_policy(sioux_falls.network)[rows]
+    for overwrite_V in (False, True):
+        V = paths.copy()
+        out = projector.project_rows(V, pairs, overwrite_V=overwrite_V)
+        assert np.array_equal(out, paths) and np.array_equal(V, paths)
+        assert np.shares_memory(out, V) == overwrite_V
+
+
+def test_project_rows_names_a_non_finite_row_among_feasible_rows(sioux_falls):
+    # feasible rows are checked by the box test alone, and a row that fails
+    # it is checked for finiteness: the first bad pair is still named, alone
+    # among feasible rows or beside a row that iterates
+    projector = FlowProjector(sioux_falls.network)
+    pairs, rows = _routable_rows(projector)
+    paths = initial_shortest_path_policy(sioux_falls.network)[rows]
+    o, d = pairs[9]
+    for moved in ([], [3], [3, 30]):
+        for overwrite_V in (False, True):
+            V = paths.copy()
+            V[moved, 0] = 0.5
+            V[9, 3] = np.nan
+            if moved:
+                V[20, 1] = np.inf
+            with pytest.raises(ValueError, match=rf"non-finite entry in the row of pair \({o + 1}, {d + 1}\)"):
+                projector.project_rows(V, pairs, overwrite_V=overwrite_V)
+
+
+def test_project_rows_names_an_unreachable_pair_before_a_non_finite_row(triangle):
+    # triangle: 1 -> 2 -> 3 and 1 -> 3, so no path leads back to 1
+    projector = FlowProjector(triangle)
+    V = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(UnreachablePairError, match="no path from 3 to 1"):
+        projector.project_rows(V, [(0, 1), (0, 1), (0, 2), (2, 0)])
 
 
 def test_all_pairs_distances_match_dijkstra():
@@ -704,7 +750,7 @@ def test_regularized_frank_wolfe_digest_on_sioux_falls(sioux_falls):
     assert len(trace) == 15
     digest = hashlib.sha256(X.astype("<f8").tobytes())
     digest.update(np.array(trace, dtype="<f8").tobytes())
-    assert digest.hexdigest() == "f76ae950ed554890ac8bb8441687e063e6fc0756d8ecf0d5ad5334d2bafdcb0e"
+    assert digest.hexdigest() == "22aba3c60efa7be9b994e77b575d33a8ff39ac374a9163dcb7430ebb474d6e66"
 
 
 def bfs_reachability(network):

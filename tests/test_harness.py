@@ -321,7 +321,7 @@ def test_cli_audit_bytes_are_pinned(tiny_config, tmp_path):
     out = tmp_path / "audit"
     assert cli_main(["audit", "--config", cfg, "--out-dir", str(out), "--trials", "3"]) == 0
     digest = hashlib.sha256((out / "sensitivity_audit.csv").read_bytes()).hexdigest()
-    assert digest == "8b02b4f7d17723f2fa27b2e85a80ace6f2e919db6874bfcaa0fcd3a064a668be"
+    assert digest == "00fdf5c36e495cf2f31bc926beb58b27dbfac78effe000cec055ae47de7021a5"
 
 
 def test_cli_audit_metadata_records_both_verdicts(tiny_config, tmp_path):
