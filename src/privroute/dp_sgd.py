@@ -205,18 +205,13 @@ def descend(
             g = gradient_rows(X, moving, lam, costs, alpha)
             g *= eta
             step[moving] = np.subtract(X[moving], g, out=g)
-            # X is held through the projection and released with the step
-            # after it: released before, it freed the top of glibc's heap,
-            # which the allocator handed back to the system and the next
-            # step faulted in again (a default Sioux Falls descent: about
-            # 6,900 minor page faults against 306)
         else:
             # the step formed in the gradient's array
             step = gradient_rows(X, slice(None), lam, costs, alpha)
             step *= eta
             np.subtract(X, step, out=step)
             step[vertices] = X[vertices]
-            del X  # not held through the projection
+        del X  # not held through the projection
         X = projector.project_policy(step, tol=step_tol)
         del step  # not held through on_step and the next gradient
         if on_step is not None:

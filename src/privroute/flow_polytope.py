@@ -40,10 +40,11 @@ for a right-hand side within tol of b in each reduced equation.
 Two cases need no iteration. A row that already lies in its polytope, in
 the box with a zero residual, is its own projection: project_rows finds
 such rows before it forms the batch and returns them as they are, without
-copying them into the batch's buffers. And kept_vertex_rows certifies, from one all-pairs distance matrix
-under the shared edge costs, which 0/1 path rows a projected gradient step
-of the regularized cost leaves exactly in place, for any step size; the
-descent hands those rows their vertex, which is then such a feasible row.
+copying them into the batch's buffers. And kept_vertex_rows certifies, from
+one all-pairs distance matrix under the shared edge costs, which 0/1 path
+rows a projected gradient step of the regularized cost leaves exactly in
+place, for any step size; the descent hands those rows their vertex, which
+is then such a feasible row.
 """
 from __future__ import annotations
 
@@ -207,10 +208,9 @@ class FlowProjector:
         policy would then depend on them.
 
         With overwrite_V, V (when a float array already) holds the returned
-        rows, and the feasible rows stay where they are; when at least half
-        of the rows run, V also serves as one of the batch's buffers while
-        the few feasible rows wait in a copy. That saves a (rows, m) buffer
-        for a caller that no longer needs V.
+        rows, and the feasible rows stay where they are; when every row
+        runs, V also serves as one of the batch's buffers. That saves a
+        (rows, m) buffer for a caller that no longer needs V.
         """
         if not (tol > 0 and math.isfinite(tol)):
             raise ValueError("tol must be positive and finite")
@@ -245,40 +245,29 @@ class FlowProjector:
             first_o, first_d = od[rest[bad[0]]]
             raise ValueError(f"non-finite entry in the row of pair ({first_o + 1}, {first_d + 1})")
         if rest.size == rows:
-            store, order = self._dykstra(V, od, B, R, tol, overwrite_V, [])
+            store, order = self._dykstra(V, od, B, R, tol, overwrite_V)
             out = V if overwrite_V else np.empty_like(store)
             out[order] = store
             return out
         out = V if overwrite_V else V.copy()
-        # the batch's rows of R are those of its own call, as a GEMM row does
-        # not depend on the rows beside it; a one-row product runs GEMV,
-        # which can differ in the last bits
         od, B = od[rest], B[rest]
-        R = R[rest] if rest.size > 1 else batch @ A_T - B
-        if overwrite_V and 2 * rest.size >= rows:
-            # most rows run: the few feasible ones wait in a copy, and V
-            # serves the batch as a buffer, as it does when every row runs
-            feasible = np.delete(np.arange(rows), rest)
-            saved = V[feasible]
-            store, order = self._dykstra(batch, od, B, R, tol, True, [V])
-            V[feasible] = saved
-        else:
-            store, order = self._dykstra(batch, od, B, R, tol, True, [])
+        # the residual of the gathered batch, as a call with its rows alone forms it
+        store, order = self._dykstra(batch, od, B, batch @ A_T - B, tol, own_V=True)
         out[rest[order]] = store
         return out
 
-    def _dykstra(self, V, od, B, R, tol, own_V, dead):
+    def _dykstra(self, V, od, B, R, tol, own_V):
         # The rows of V projected by the dual loop (module docstring), from
         # the residual R = V A^T - B of their start, each stored from the end
         # of `store` as it freezes, its row number in `order`: while k rows
         # are active, store[:k] is a spare buffer. X, previous and V (once
-        # read, when own_V) rotate through each other and the buffers in
-        # `dead`, which are no longer read (the caller's, then the batch's),
-        # as the active rows are compacted, so a batch holds V, store and
-        # two more (rows, m) buffers.
+        # read, when own_V) rotate through each other as the active rows
+        # are compacted, so a batch holds V, store and two more (rows, m)
+        # buffers.
         k = V.shape[0]
         store, order = np.empty(V.shape), np.empty(k, dtype=np.intp)
         active = np.arange(k)  # rows not yet frozen
+        dead = []  # (rows, m) buffers no longer read, used before allocating
 
         def buffer():
             return dead.pop()[:k] if dead else np.empty((k, store.shape[1]))
@@ -410,18 +399,10 @@ class FlowProjector:
         """
         n, m = self.network.node_count, self.network.edge_count
         X = np.asarray(x, dtype=float).reshape(n * n, m)
-        chunk = max(1, _CHUNK_BYTES // max(1, 8 * m))
-        if self._pair_rows.size <= chunk:
-            # one chunk, on the calling thread. The output is made once the
-            # chunk is projected: made first, it left a descent's step
-            # arrays a heap layout that glibc trimmed and regrew at every
-            # step (dp_sgd.descend)
-            projected = self.project_rows(X[self._pair_rows], self._pairs, tol=tol, overwrite_V=True)
-            out = np.zeros((n * n, m))
-            out[self._pair_rows] = projected
-            return out
         out = np.zeros((n * n, m))
-        starts = range(0, self._pair_rows.size, chunk)
+        chunk = max(1, _CHUNK_BYTES // max(1, 8 * m))
+        # at least one chunk, so that a policy with no routable pair still checks tol
+        starts = range(0, max(1, self._pair_rows.size), chunk)
         errors = [None] * len(starts)
         untaken, taking = iter(enumerate(starts)), threading.Lock()
 
@@ -439,7 +420,8 @@ class FlowProjector:
                 except Exception as err:  # raised below, in row order
                     errors[i] = err
 
-        workers = min(len(starts), _chunk_workers())
+        # a one-chunk policy runs on the calling thread without reading the rule
+        workers = min(len(starts), _chunk_workers()) if len(starts) > 1 else 1
         pool = self._helpers(workers - 1) if workers > 1 else None
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
         try:
