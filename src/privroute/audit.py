@@ -18,6 +18,7 @@ from . import demand as demand_mod
 from .baseline import detect_od_presence, standard_feasible_flow
 from .dp_sgd import sensitivity_bound
 from .harness import _format, resolve_constants, write_csv
+from .net_model import check_pair
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,7 @@ def demo_impossibility(network, base_demand, od, period_minutes=60.0):
     the per-pair solutions and on total flows alone.
     """
     base_demand = demand_mod.validate_demand_matrix(base_demand)
-    o, d = od
-    n = base_demand.shape[0]
-    if not (0 <= o < n and 0 <= d < n):
-        # a negative id would index from the end and run the demo elsewhere
-        raise ValueError(f"od endpoints ({o + 1}, {d + 1}) must lie in 1..{n}")
-    if o == d:
-        raise ValueError("od pair must have distinct endpoints")
+    o, d = check_pair(od, base_demand.shape[0])
     for endpoint in (o, d):
         if np.any(base_demand[endpoint, :] != 0) or np.any(base_demand[:, endpoint] != 0):
             raise ValueError(

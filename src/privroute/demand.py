@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .net_model import check_pair
+
 
 def _day_rng(seed, day):
     # Philox is counter-based; deriving each day's stream from (seed, day)
@@ -94,9 +96,7 @@ def make_adjacent(dataset, day, od, direction):
         od: (origin, destination) 0-based pair with origin != destination.
         direction: "add" or "remove".
     """
-    o, d = od
-    if o == d:
-        raise ValueError("od pair must have distinct endpoints")
+    o, d = check_pair(od, dataset.matrices.shape[1])
     if not 1 <= day <= dataset.day_count:
         raise ValueError(f"day {day} outside 1..{dataset.day_count}")
     delta = 1.0 / dataset.period_minutes

@@ -148,18 +148,18 @@ def descend(
     """Run the N projected gradient steps of the private solver (no noise) and
     return the final iterate.
 
-    Each day's demand is read by exactly one step, in dataset order. x0
-    must pass flow_polytope.check_feasible_start. The routable rows that are
-    exact 0/1 paths (those of x0 at first, then those kept at the previous
-    step) are checked with flow_polytope.kept_vertex_rows at each step; a
-    row that passes is handed to the step projection as its vertex, which
-    is the exact projection of its step and comes back as it is. The
-    step's edge costs (objective.edge_costs) are computed once and serve
-    both the certificate and the gradient. When fewer than n^2 / 8 rows
-    move, only their gradient rows are formed and the step input is a copy
-    of X with those rows replaced; otherwise the whole gradient is formed,
-    as the step's array. Every step projects the whole policy with one
-    project_policy call, which returns the kept rows after a residual
+    Each day's demand is read by exactly one step, in dataset order, and a
+    step reads only X and its day: X is the descent's whole state. x0 must
+    pass flow_polytope.check_feasible_start. At each step
+    flow_polytope.kept_vertex_rows finds in X the exact 0/1 path rows that
+    the step leaves in place; each is handed to the step projection as its
+    vertex, which is the exact projection of its step and comes back as it
+    is. The step's edge costs (objective.edge_costs) are computed once and
+    serve both the certificate and the gradient. When fewer than n^2 / 8
+    rows move, only their gradient rows are formed and the step input is a
+    copy of X with those rows replaced; otherwise the whole gradient is
+    formed, as the step's array. Every step projects the whole policy with
+    one project_policy call, which returns the kept rows after a residual
     product and a box test, and runs Dykstra's method to step_tol on the
     moving rows alone. So a step costs what its moving rows cost, plus the
     certificate and those two tests. on_step, when given, is called as
@@ -172,34 +172,28 @@ def descend(
     if projector is None:
         projector = FlowProjector(network)
     X = check_feasible_start(x0, network, projector.reach)
+    alpha, beta, n = constants.alpha, constants.beta, network.node_count
     demanded = np.flatnonzero(dataset.matrices.any(axis=0))
-    unserved = demanded[~projector.reach[np.divmod(demanded, network.node_count)]]
+    unserved = demanded[~projector.reach[np.divmod(demanded, n)]]
     if unserved.size:
-        o, d = divmod(int(unserved[0]), network.node_count)
+        o, d = divmod(int(unserved[0]), n)
         raise UnreachablePairError(f"no path serves demanded pair ({o + 1}, {d + 1})")
-    alpha, beta = constants.alpha, constants.beta
-    n = network.node_count
     routable = (projector.reach & ~np.eye(n, dtype=bool)).reshape(n * n)
     routable_count = int(routable.sum())
-    # routable rows that are exact vertices: the 0/1 rows of the start, then
-    # the rows kept at the previous step
-    vertices = np.flatnonzero(routable & ((X == 0.0) | (X == 1.0)).all(axis=1))
-    first_day = dataset.day(1)
     if on_step is not None:
-        on_step(0, X, first_day)
+        on_step(0, X, dataset.day(1))
     for k in range(1, dataset.day_count + 1):
-        lam = first_day if k == 1 else dataset.day(k)
+        lam = dataset.day(k)
         costs = edge_costs(X, lam, latency)  # shared by the gradient and the certificate
-        if vertices.size:
-            vertices = vertices[kept_vertex_rows(X, vertices, lam, costs, alpha, network)]
+        kept = kept_vertex_rows(X, lam, costs, alpha, network)
         eta = step_size(k, alpha, beta)
         # a kept row's projection is its vertex, which projects to itself,
         # so the step input holds it; the other routable rows take the step
         # X - eta g. When they are few (the rule of kept_vertex_rows), only
         # their rows of g are formed
-        if 8 * (routable_count - vertices.size) < n * n:
+        if 8 * (routable_count - kept.size) < n * n:
             moves = routable.copy()
-            moves[vertices] = False
+            moves[kept] = False
             moving = np.flatnonzero(moves)
             step = X.copy()
             g = gradient_rows(X, moving, lam, costs, alpha)
@@ -210,7 +204,7 @@ def descend(
             step = gradient_rows(X, slice(None), lam, costs, alpha)
             step *= eta
             np.subtract(X, step, out=step)
-            step[vertices] = X[vertices]
+            step[kept] = X[kept]
         del X  # not held through the projection
         X = projector.project_policy(step, tol=step_tol)
         del step  # not held through on_step and the next gradient

@@ -40,11 +40,11 @@ for a right-hand side within tol of b in each reduced equation.
 Two cases need no iteration. A row that already lies in its polytope, in
 the box with a zero residual, is its own projection: project_rows finds
 such rows before it forms the batch and returns them as they are, without
-copying them into the batch's buffers. And kept_vertex_rows certifies, from
-one all-pairs distance matrix under the shared edge costs, which 0/1 path
-rows a projected gradient step of the regularized cost leaves exactly in
-place, for any step size; the descent hands those rows their vertex, which
-is then such a feasible row.
+copying them into the batch's buffers. And kept_vertex_rows finds the 0/1
+path rows of a policy and certifies, from one all-pairs distance matrix
+under the shared edge costs, which of them a projected gradient step of the
+regularized cost leaves exactly in place, for any step size; the descent
+hands those rows their vertex, which is then such a feasible row.
 """
 from __future__ import annotations
 
@@ -55,6 +55,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .net_model import check_pair
 
 DEFAULT_TOL = 1e-8
 _PEEL_EPS = 1e-12
@@ -196,10 +198,11 @@ class FlowProjector:
         but the last) to tol; converged blocks are frozen so stragglers do
         not re-run the whole batch. The last node's net-inflow error is
         minus the sum of the others, so it is held only to (n - 1) * tol.
-        Raises ValueError for a non-finite tol or entry of V,
-        UnreachablePairError if a pair has no directed path (checked
-        first), and ProjectionConvergenceError at the iteration cap, naming
-        the unconverged pairs in row order.
+        Raises ValueError for a non-finite tol or entry of V, or a pair that
+        net_model.check_pair rejects (checked first), UnreachablePairError
+        if a pair has no directed path (checked next), and
+        ProjectionConvergenceError at the iteration cap, naming the
+        unconverged pairs in row order.
 
         The multipliers start at zero in every call, and nothing is kept
         between calls. The release projection must not start from the
@@ -215,12 +218,13 @@ class FlowProjector:
         if not (tol > 0 and math.isfinite(tol)):
             raise ValueError("tol must be positive and finite")
         od = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        o, d = od[:, 0], od[:, 1]
-        bad = np.flatnonzero((o == d) | ~self.reach[o, d])
+        n, o, d = self.network.node_count, od[:, 0], od[:, 1]
+        bad = np.flatnonzero((o == d) | (od < 0).any(axis=1) | (od >= n).any(axis=1))
         if bad.size:
-            first_o, first_d = int(o[bad[0]]), int(d[bad[0]])
-            if first_o == first_d:
-                raise ValueError("project_rows expects pairs with o != d")
+            check_pair(od[bad[0]].tolist(), n)
+        bad = np.flatnonzero(~self.reach[o, d])
+        if bad.size:
+            first_o, first_d = od[bad[0]].tolist()
             raise UnreachablePairError(
                 f"no path from {first_o + 1} to {first_d + 1}: the flow polytope is empty"
             )
@@ -477,11 +481,7 @@ def _chunk_pool(threads):
 
 def project_unit_flow(v, od, network, tol=DEFAULT_TOL):
     """Euclidean projection of an edge vector onto the unit (o, d) flow polytope."""
-    o, d = od
-    if o == d:
-        raise ValueError("od pair must have distinct endpoints")
-    V = np.asarray(v, dtype=float)[None, :]
-    return FlowProjector(network).project_rows(V, [od], tol=tol)[0]
+    return FlowProjector(network).project_rows(np.reshape(v, (1, -1)), [od], tol=tol)[0]
 
 
 def _cost_list(costs):
@@ -537,17 +537,18 @@ def shortest_path_tree(source, edge_costs, network):
     with a smaller sequence. Returns (distances, predecessor edge per node):
     the tree path to v is the path to the tail of pred_edge[v] followed by
     that edge. Nodes without a finite-cost path carry distance inf; the
-    source and nodes no edge reaches carry predecessor -1.
+    source and nodes no edge reaches carry predecessor -1. A source outside
+    0..n-1 raises ValueError.
     """
+    if not 0 <= source < network.node_count:
+        raise ValueError(f"source {source + 1} is not a node in 1..{network.node_count}")
     dist, pred_edge = _dijkstra([source], edge_costs, network)
     return dist[0], pred_edge[0]
 
 
 def shortest_path_flow(od, edge_costs, network):
     """0/1 indicator of a minimum-cost simple o -> d path (a polytope vertex)."""
-    o, d = od
-    if o == d:
-        raise ValueError("od pair must have distinct endpoints")
+    o, d = check_pair(od, network.node_count)
     dist, pred_edge = shortest_path_tree(o, edge_costs, network)
     if not np.isfinite(dist[d]):
         raise UnreachablePairError(f"no path from {o + 1} to {d + 1}")
@@ -600,20 +601,21 @@ def all_pairs_distances(edge_costs, network):
     return dist
 
 
-def kept_vertex_rows(X, rows, demand, edge_costs, alpha, network):
-    """Boolean mask over rows: which 0/1 rows of policy X a projected
+def kept_vertex_rows(X, demand, edge_costs, alpha, network):
+    """Indices, in row order, of the rows of policy X that a projected
     gradient step of the regularized cost leaves exactly in place.
 
-    Each listed row must be a routable block (o, d) holding an exact 0/1
-    unit flow p. Its gradient block is g = L(o,d) edge_costs + alpha p with
-    the shared edge_costs of objective.edge_costs, and P(p - eta g) = p for
-    every step eta > 0 exactly when p minimizes <g, x> over the polytope:
-    as g >= 0, when p is a cheapest o -> d path under g. With D the
-    all-pairs distances under edge_costs, the reduced cost of an edge that
-    o reaches is r = cost + D[o, tail] - D[o, head]. The edge is tight when
-    |r| <= t_o, the rounding allowance 2 n eps (max D[o] + max cost); edges
-    into o are left out, as no simple path from o uses them. A row is kept
-    when
+    The candidates are the nonzero rows of X that are exact 0/1: for a
+    feasible X, the routable blocks (o, d) holding a 0/1 unit flow p (with
+    none, no distance is computed). Its gradient block is g = L(o,d)
+    edge_costs + alpha p with the shared edge_costs of objective.edge_costs,
+    and P(p - eta g) = p for every step eta > 0 exactly when p minimizes
+    <g, x> over the polytope: as g >= 0, when p is a cheapest o -> d path
+    under g. With D the all-pairs distances under edge_costs, the reduced
+    cost of an edge that o reaches is r = cost + D[o, tail] - D[o, head].
+    The edge is tight when |r| <= t_o, the rounding allowance
+    2 n eps (max D[o] + max cost); edges into o are left out, as no simple
+    path from o uses them. A candidate is kept when
     - every edge of p is tight, so p is a cheapest path under edge_costs;
     - every node of p after o has exactly one tight in-edge, so p is the
       only one;
@@ -622,11 +624,15 @@ def kept_vertex_rows(X, rows, demand, edge_costs, alpha, network):
     Walking back from d along tight edges retraces p, so any other simple
     o -> d path q uses an edge with r >= rho_o. The reduced costs telescope
     along paths, each is exact to within t_o, and so
-    <g, q - p> >= L(o,d) (rho_o - 4 n t_o) - alpha |p| >= 0. No state is
-    carried between calls.
+    <g, q - p> >= L(o,d) (rho_o - 4 n t_o) - alpha |p| >= 0.
     """
     n, tails, heads = network.node_count, network.tails, network.heads
-    rows = np.asarray(rows, dtype=np.intp)
+    ones = X == 1.0
+    rows = ones.any(axis=1)
+    ones |= X == 0.0
+    rows = np.flatnonzero(rows & ones.all(axis=1))  # the nonzero 0/1 rows
+    if not rows.size:
+        return rows
     origins = rows // n
     dist = all_pairs_distances(edge_costs, network)
     reached = np.isfinite(dist)
@@ -656,7 +662,7 @@ def kept_vertex_rows(X, rows, demand, edge_costs, alpha, network):
     rho = np.where(off, reduced, np.inf).min(axis=1) - 4 * n * allowance
     with np.errstate(invalid="ignore"):  # 0 * inf: no rate, no other path
         margin = np.asarray(demand, dtype=float).reshape(n * n)[rows] * rho[origins]
-    return (misses == 0.0) & (margin >= alpha * length)
+    return rows[(misses == 0.0) & (margin >= alpha * length)]
 
 
 def initial_shortest_path_policy(network, edge_costs=None):

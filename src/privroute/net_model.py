@@ -94,6 +94,18 @@ class Network:
         return A
 
 
+def check_pair(od, n):
+    """od, checked to be two distinct 0-based ids of an n-node network, as
+    (o, d). Otherwise ValueError names the pair 1-based: indexing would read
+    a negative id from the end of an array."""
+    o, d = od
+    if not (0 <= o < n and 0 <= d < n):
+        raise ValueError(f"od endpoints ({o + 1}, {d + 1}) must lie in 1..{n}")
+    if o == d:
+        raise ValueError("od pair must have distinct endpoints")
+    return o, d
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Affine link latency: traversal time on edge e is slope[e] * flow + free_flow[e]."""

@@ -27,7 +27,6 @@ class ModelConstants:
         beta: smoothness bound on the Hessian operator norm.
         cross_sensitivity: bound on the gradient change per unit change of
             one demand entry (the noise-calibration constant).
-        gradient_bound: bound on the gradient norm over the feasible set.
         period_minutes: operation-period length T.
     """
 
@@ -35,7 +34,6 @@ class ModelConstants:
     alpha: float
     beta: float
     cross_sensitivity: float
-    gradient_bound: float
     period_minutes: float
 
     def __post_init__(self):
@@ -45,8 +43,8 @@ class ModelConstants:
             raise ValueError("beta must be at least alpha")
         if self.cross_sensitivity <= 0:
             raise ValueError("cross_sensitivity must be positive")
-        if self.gradient_bound < 0 or self.lambda_max < 0:
-            raise ValueError("bounds must be nonnegative")
+        if self.lambda_max < 0:
+            raise ValueError("lambda_max must be nonnegative")
         if self.period_minutes <= 0:
             raise ValueError("period_minutes must be positive")
 
@@ -125,8 +123,8 @@ def compute_constants(network, latency, lam_max, alpha, period_minutes):
     """Closed-form regularity constants from the network and a demand bound.
 
     beta is the true Hessian bound 2 n^2 lambda_max^2 max_q + alpha; the
-    cross-sensitivity and gradient bounds follow the triangle-inequality
-    estimates with ||y|| <= n^2 sqrt(m) lambda_max and ||x_od|| <= sqrt(m).
+    cross-sensitivity bound follows the triangle-inequality estimates with
+    ||y|| <= n^2 sqrt(m) lambda_max and ||x_od|| <= sqrt(m).
     """
     if lam_max < 0:
         raise ValueError("lam_max must be nonnegative")
@@ -138,17 +136,11 @@ def compute_constants(network, latency, lam_max, alpha, period_minutes):
     c_norm = float(np.linalg.norm(latency.free_flow))
     beta = 2.0 * n * n * lam_max * lam_max * q_max + alpha
     cross = 2.0 * lam_max * q_max * np.sqrt(m) * n * (n + 1) + c_norm
-    grad_bound = (
-        2.0 * n * n * lam_max * q_max * (n * n * np.sqrt(m) * lam_max)
-        + alpha * n * np.sqrt(m)
-        + n * lam_max * c_norm
-    )
     return ModelConstants(
         lambda_max=float(lam_max),
         alpha=float(alpha),
         beta=float(beta),
         cross_sensitivity=float(cross),
-        gradient_bound=float(grad_bound),
         period_minutes=float(period_minutes),
     )
 

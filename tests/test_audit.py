@@ -100,8 +100,7 @@ def test_bound_halves_when_days_double():
     from privroute.objective import ModelConstants
 
     consts = ModelConstants(
-        lambda_max=1.0, alpha=1.0, beta=100.0, cross_sensitivity=5.0,
-        gradient_bound=0.0, period_minutes=60.0,
+        lambda_max=1.0, alpha=1.0, beta=100.0, cross_sensitivity=5.0, period_minutes=60.0,
     )
     n = 1000  # deep in the 1/(alpha N) branch
     assert sensitivity_bound(consts, 2 * n) == pytest.approx(sensitivity_bound(consts, n) / 2)

@@ -71,6 +71,15 @@ def test_make_adjacent_remove_guard():
         make_adjacent(ds, day=1, od=(0, 1), direction="remove")
 
 
+@pytest.mark.parametrize(
+    "od, shown", [((-1, 0), "(0, 1)"), ((0, 3), "(1, 4)")], ids=["minus-1-to-1", "1-to-4"])
+def test_make_adjacent_rejects_a_node_outside_the_dataset(od, shown):
+    # (-1, 0) would add the request at pair (3, 1)
+    ds = DemandDataset(matrices=np.zeros((2, 3, 3)), period_minutes=60.0)
+    with pytest.raises(ValueError, match=rf"\{shown[:-1]}\) must lie in 1\.\.3"):
+        make_adjacent(ds, 1, od, "add")
+
+
 def test_make_adjacent_involution_bit_exact():
     ds = sample_dataset(small_mean(), 5, 60.0, seed=4)
     there = make_adjacent(ds, 3, (0, 2), "add")

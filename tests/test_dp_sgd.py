@@ -71,7 +71,6 @@ def make_constants(cross, alpha, beta, period=60.0):
         alpha=alpha,
         beta=beta,
         cross_sensitivity=cross,
-        gradient_bound=0.0,
         period_minutes=period,
     )
 
@@ -210,9 +209,9 @@ def test_kept_vertex_rows_are_exact_on_the_default_descent(monkeypatch):
     kept_vertex_rows = dp_sgd.kept_vertex_rows
     calls = []
 
-    def recorded(X, rows, demand, costs, alpha, network):
-        kept = kept_vertex_rows(X, rows, demand, costs, alpha, network)
-        calls.append((X.copy(), np.asarray(rows)[kept], demand))
+    def recorded(X, demand, costs, alpha, network):
+        kept = kept_vertex_rows(X, demand, costs, alpha, network)
+        calls.append((X.copy(), kept, demand))
         return kept
 
     monkeypatch.setattr(dp_sgd, "kept_vertex_rows", recorded)
@@ -248,28 +247,54 @@ def test_descend_without_kept_rows_is_the_plain_loop(sioux_falls):
     assert np.array_equal(pipeline.descend(dataset, constants), X)
 
 
-def test_descend_with_kept_rows_is_the_reference_loop(sioux_falls):
-    # at the default alpha most rows stay on their vertex, and the descent,
-    # which forms the step only on the rows that move, is bit for bit the
-    # loop that forms it on every row and resets the kept rows to X
+@pytest.mark.parametrize("alpha, least_kept", [(None, 500), (1.0, 160)], ids=["default", "alpha-1"])
+def test_descend_with_kept_rows_is_the_reference_loop(sioux_falls, alpha, least_kept):
+    # most rows stay on their vertex at the default alpha, fewer at alpha = 1,
+    # and the descent, which forms the step only on the rows that move, is
+    # bit for bit the loop that forms it on every row and resets the rows
+    # that X's certificate keeps to X
     config = ExperimentConfig()
     pipeline = Pipeline(config, sioux_falls)
     network, latency = sioux_falls.network, sioux_falls.latency
     dataset, _ = pipeline.sample()
-    constants = resolve_constants(config, sioux_falls, dataset)
-    alpha, n = constants.alpha, network.node_count
-    routable = (pipeline.projector.reach & ~np.eye(n, dtype=bool)).reshape(n * n)
+    constants = resolve_constants(config, sioux_falls, dataset, alpha=alpha)
+    alpha = constants.alpha
     X = pipeline.x0
-    vertices = np.flatnonzero(routable & ((X == 0.0) | (X == 1.0)).all(axis=1))
     for k in range(1, dataset.day_count + 1):
         demand = dataset.day(k)
         costs = edge_costs(X, demand, latency)
-        vertices = vertices[flow_polytope.kept_vertex_rows(X, vertices, demand, costs, alpha, network)]
-        assert vertices.size >= 500
+        kept = flow_polytope.kept_vertex_rows(X, demand, costs, alpha, network)
+        assert kept.size >= least_kept
         step = X - step_size(k, alpha, constants.beta) * gradient(X, demand, latency, alpha)
-        step[vertices] = X[vertices]
+        step[kept] = X[kept]
         X = pipeline.projector.project_policy(step, tol=config.step_tol)
     assert np.array_equal(pipeline.descend(dataset, constants), X)
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0], ids=["default", "alpha-1"])
+def test_forked_descent_resumes_bit_for_bit(sioux_falls, alpha):
+    # X is the descent's whole state: run from the k-th iterate on days
+    # k+1..N, for every k, it ends where the full run ends. The step size
+    # is at its floor from day 1, so the fork needs no step offset. At
+    # alpha = 1 some rows come back from a projection exactly on their
+    # vertex, and a certificate that carried its rows from step to step
+    # would not see them in the full run
+    config = ExperimentConfig(n_days=20)
+    pipeline = Pipeline(config, sioux_falls)
+    dataset, _ = pipeline.sample()
+    constants = resolve_constants(config, sioux_falls, dataset, alpha=alpha)
+    n_days = dataset.day_count
+    assert step_size(1, constants.alpha, constants.beta) == step_size(
+        n_days, constants.alpha, constants.beta)
+    iterates = []
+    x_pre = pipeline.descend(dataset, constants, on_step=lambda k, X, demand: iterates.append(X))
+    for k in range(1, n_days):
+        later = DemandDataset(matrices=dataset.matrices[k:], period_minutes=dataset.period_minutes)
+        forked = descend(
+            later, sioux_falls.network, sioux_falls.latency, constants, iterates[k],
+            projector=pipeline.projector, step_tol=config.step_tol,
+        )
+        assert np.array_equal(forked, x_pre)
 
 
 def test_solver_leaves_its_arguments_unchanged(ring5, ring5_demand):

@@ -305,6 +305,39 @@ def test_project_rows_names_an_unreachable_pair_before_a_non_finite_row(triangle
         projector.project_rows(V, [(0, 1), (0, 1), (0, 2), (2, 0)])
 
 
+@pytest.mark.parametrize(
+    "od, shown",
+    [((-1, 2), "(0, 3)"), ((0, -1), "(1, 0)"), ((-3, 2), "(-2, 3)"), ((0, 3), "(1, 4)")],
+    ids=["minus-1-to-3", "1-to-minus-1", "minus-3-to-3", "1-to-4"],
+)
+def test_project_unit_flow_rejects_a_node_outside_the_network(triangle, od, shown):
+    # a negative id would be read from the end of the array, so (-1, 2)
+    # would be projected as the pair (3, 3)
+    with pytest.raises(ValueError, match=rf"od endpoints \{shown[:-1]}\) must lie in 1\.\.3"):
+        project_unit_flow(np.full(3, 0.5), od, triangle)
+
+
+def test_project_rows_names_the_first_pair_outside_the_network(triangle):
+    # in row order, before the unreachable pair (3, 1) of the last row
+    V = np.full((4, 3), 0.5)
+    with pytest.raises(ValueError, match=r"\(1, 4\) must lie in 1\.\.3"):
+        FlowProjector(triangle).project_rows(V, [(0, 2), (0, 3), (-1, 0), (2, 0)])
+
+
+@pytest.mark.parametrize("source", [-1, 3])
+def test_shortest_path_tree_rejects_a_source_outside_the_network(triangle, source):
+    with pytest.raises(ValueError, match=rf"source {source + 1} is not a node in 1\.\.3"):
+        shortest_path_tree(source, triangle.free_flow_time, triangle)
+
+
+@pytest.mark.parametrize(
+    "od, shown", [((-1, 2), "(0, 3)"), ((0, 3), "(1, 4)")], ids=["minus-1-to-3", "1-to-4"])
+def test_shortest_path_flow_rejects_a_node_outside_the_network(triangle, od, shown):
+    # (-1, 2) walked back from node 2 toward node -1, which it never reaches
+    with pytest.raises(ValueError, match=rf"\{shown[:-1]}\) must lie in 1\.\.3"):
+        shortest_path_flow(od, triangle.free_flow_time, triangle)
+
+
 def test_all_pairs_distances_match_dijkstra():
     rng = np.random.default_rng(12)
     for _ in range(5):
@@ -335,10 +368,10 @@ def _vertex_step(net, path, rate, alpha):
     X[3] = p
     demand = np.zeros((4, 4))
     demand[0, 3] = rate
-    kept = kept_vertex_rows(X, [3], demand, costs, alpha, net)
+    kept = kept_vertex_rows(X, demand, costs, alpha, net)
     step = p - (rate * costs + alpha * p)
     moved = FlowProjector(net).project_rows(step[None], [(0, 3)], tol=1e-12)
-    return bool(kept[0]), moved[0], p
+    return kept.tolist() == [3], moved[0], p
 
 
 def test_kept_vertex_row_is_its_projection():
@@ -372,20 +405,34 @@ def test_vertex_row_that_moves_is_not_kept(costs, path, rate, alpha):
 
 
 def test_kept_vertex_rows_gathered_match_the_whole_policy_product(sioux_falls):
-    # Sioux Falls x0 at day-like demand: all 552 rows take the product over
-    # the whole policy, every 12th row alone is gathered; the masks agree
+    # Sioux Falls x0 at day-like demand: its 552 0/1 rows take the product
+    # over the whole policy; with all but every 12th row zeroed, the rows
+    # left are gathered. They keep what the whole policy keeps of them
     network = sioux_falls.network
     n = network.node_count
-    projector = FlowProjector(network)
-    _, rows = _routable_rows(projector)
+    _, rows = _routable_rows(FlowProjector(network))
     X = initial_shortest_path_policy(network)
     demand = np.random.default_rng(3).uniform(0.0, 0.2, (n, n))
     costs = 2.0 * network.free_flow_time
-    whole = kept_vertex_rows(X, rows, demand, costs, 0.05, network)
+    whole = kept_vertex_rows(X, demand, costs, 0.05, network)
     few = rows[::12]
+    X_few = np.zeros_like(X)
+    X_few[few] = X[few]
     assert 8 * len(few) < n * n <= 8 * len(rows)
-    assert 0 < whole[::12].sum() < len(few)
-    assert np.array_equal(kept_vertex_rows(X, few, demand, costs, 0.05, network), whole[::12])
+    expected = whole[np.isin(whole, few)]
+    assert 0 < expected.size < len(few)
+    assert np.array_equal(kept_vertex_rows(X_few, demand, costs, 0.05, network), expected)
+
+
+def test_kept_vertex_rows_without_a_0_1_row_skip_the_distances(sioux_falls, monkeypatch):
+    # a policy with no 0/1 row keeps none, and computes no distance matrix
+    network = sioux_falls.network
+    n = network.node_count
+    X = initial_shortest_path_policy(network)
+    X[X == 1.0] = 0.75
+    monkeypatch.setattr(flow_polytope, "all_pairs_distances", None)
+    kept = kept_vertex_rows(X, np.ones((n, n)), network.free_flow_time, 0.05, network)
+    assert kept.size == 0 and kept.dtype == np.intp
 
 
 def test_vertex_row_with_a_free_cycle_through_its_origin_is_not_kept():

@@ -140,27 +140,12 @@ def test_compute_constants_triangle_formula(triangle, triangle_latency):
     assert consts.cross_sensitivity == pytest.approx(expected_cross)
     assert expected_cross == pytest.approx(86.455, abs=5e-4)
     assert consts.beta == pytest.approx(2 * 9 * 4 * 1 + 1)
-    expected_grad = 2 * 9 * 2 * 1 * (9 * np.sqrt(3) * 2) + 1 * 3 * np.sqrt(3) + 3 * 2 * np.sqrt(11)
-    assert consts.gradient_bound == pytest.approx(expected_grad)
 
 
 def test_compute_constants_zero_demand(triangle, triangle_latency):
     consts = compute_constants(triangle, triangle_latency, lam_max=0.0, alpha=2.0, period_minutes=60.0)
     assert consts.beta == pytest.approx(2.0)
     assert consts.cross_sensitivity == pytest.approx(np.sqrt(11.0))
-
-
-def test_gradient_bound_holds_on_samples(diamond4):
-    rng = np.random.default_rng(4)
-    lat = LatencyModel(slope=np.full(10, 0.2), free_flow=diamond4.free_flow_time)
-    lam_max = 2.0
-    consts = compute_constants(diamond4, lat, lam_max, alpha=1.0, period_minutes=60.0)
-    for _ in range(10):
-        x = random_policy(diamond4, rng)
-        demand = rng.uniform(0, lam_max, size=(4, 4))
-        np.fill_diagonal(demand, 0)
-        g = gradient(x, demand, lat, alpha=1.0)
-        assert np.linalg.norm(g) <= consts.gradient_bound
 
 
 def test_eigenvalue_identity_dense(diamond4):
@@ -222,6 +207,8 @@ def test_cross_derivative_bounded(diamond4):
 
 def test_model_constants_validation():
     with pytest.raises(ValueError):
-        ModelConstants(lambda_max=1, alpha=0, beta=1, cross_sensitivity=1, gradient_bound=1, period_minutes=60)
+        ModelConstants(lambda_max=1, alpha=0, beta=1, cross_sensitivity=1, period_minutes=60)
     with pytest.raises(ValueError):
-        ModelConstants(lambda_max=1, alpha=2, beta=1, cross_sensitivity=1, gradient_bound=1, period_minutes=60)
+        ModelConstants(lambda_max=1, alpha=2, beta=1, cross_sensitivity=1, period_minutes=60)
+    with pytest.raises(ValueError, match="lambda_max"):
+        ModelConstants(lambda_max=-1, alpha=1, beta=1, cross_sensitivity=1, period_minutes=60)
